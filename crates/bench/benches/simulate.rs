@@ -1,8 +1,8 @@
 //! Simulation benchmark: RK4 throughput on the 53-node t-line, plus the
-//! tape-vs-tree-walk expression evaluation ablation from DESIGN.md.
+//! fused-program-vs-tree-walk expression evaluation ablation.
 
 use ark_core::CompiledSystem;
-use ark_expr::{eval, parse_expr, MapContext, Tape};
+use ark_expr::{eval, parse_expr, MapContext, ProgScratch, ProgramBuilder, SlotResolver};
 use ark_ode::{DormandPrince, OdeSystem, Rk4};
 use ark_paradigms::tln::{linear_tline, tln_language, TlineConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -40,20 +40,28 @@ fn bench_simulate(c: &mut Criterion) {
     });
     group.finish();
 
-    // Ablation: compiled tape vs tree-walking evaluation of a production-
+    // Ablation: fused program vs tree-walking evaluation of a production-
     // rule-sized expression.
     let e = parse_expr("-1.6e9*2.0*sin(var(s)-var(t)) - 1e9*sin(2*var(s))").unwrap();
     let ctx = MapContext::new().with_var("s", 0.3).with_var("t", 0.9);
-    let tape = Tape::compile(&e, &|n| match n {
+    let mut pb = ProgramBuilder::new();
+    let resolve = SlotResolver(|n: &str| match n {
         "s" => Some(0),
         "t" => Some(1),
         _ => None,
-    })
-    .unwrap();
-    let mut regs = tape.new_registers();
+    });
+    let out = pb.add_expr(&e, &resolve).unwrap();
+    let prog = pb.finish(&[out], 0);
+    let mut scratch = ProgScratch::default();
+    let mut value = [0.0];
     let slots = [0.3, 0.9];
     let mut group = c.benchmark_group("expr_eval");
-    group.bench_function("tape", |b| b.iter(|| tape.eval(&slots, 0.0, &mut regs)));
+    group.bench_function("fused", |b| {
+        b.iter(|| {
+            prog.eval_into(&mut scratch, &slots, 0.0, &[], &mut value);
+            value[0]
+        })
+    });
     group.bench_function("tree_walk", |b| b.iter(|| eval(&e, &ctx).unwrap()));
     group.finish();
 }

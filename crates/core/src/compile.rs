@@ -13,12 +13,13 @@
 //!    derivatives each right-hand-side call (scheduled topologically;
 //!    algebraic cycles are rejected).
 //!
-//! The result, [`CompiledSystem`], has all expressions lowered to
-//! [`ark_expr::Tape`]s and retains human-readable equations for inspection
-//! (the paper's generated differential equations). It is immutable and
-//! `Send + Sync`: evaluation state lives in a separate per-worker
-//! [`EvalScratch`], and [`CompiledSystem::bind`] pairs the two into a
-//! [`BoundSystem`] implementing [`ark_ode::OdeSystem`] for the integrators.
+//! The result, [`CompiledSystem`], has all expressions lowered into fused
+//! [`ark_expr::SystemProgram`]s and retains the per-node expressions and
+//! human-readable equations for inspection (the paper's generated
+//! differential equations). It is immutable and `Send + Sync`: evaluation
+//! state lives in a separate per-worker [`EvalScratch`], and
+//! [`CompiledSystem::bind`] pairs the two into a [`BoundSystem`]
+//! implementing [`ark_ode::OdeSystem`] for the integrators.
 
 use crate::dg::Graph;
 use crate::func::ParametricGraph;
@@ -28,7 +29,7 @@ use crate::types::Value;
 use ark_expr::program::{
     LaneScratch, ProgScratch, ProgramBuilder, ProgramResolver, SystemProgram, VarRef,
 };
-use ark_expr::{Backend, Differentiator, Expr, NativeStatus, Tape, TapeError};
+use ark_expr::{Backend, Differentiator, Expr, NativeStatus, TapeError};
 use ark_ode::OdeSystem;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -74,7 +75,7 @@ pub enum CompileError {
     },
     /// Order-0 (pure function) nodes form a dependency cycle.
     AlgebraicLoop(Vec<String>),
-    /// Tape lowering failed (internal invariant; should not escape).
+    /// Program lowering failed (internal invariant; should not escape).
     Tape(String),
 }
 
@@ -143,14 +144,6 @@ impl fmt::Display for StateVar {
     }
 }
 
-#[derive(Debug, Clone)]
-enum DerivKind {
-    /// `d state_i/dt = state_j` (the LowOrdEqs chain).
-    Chain(usize),
-    /// `d state_i/dt = tape_k`.
-    Tape(usize),
-}
-
 /// Per-worker evaluation buffers for a [`CompiledSystem`].
 ///
 /// The compiled system itself is immutable (`Send + Sync`), so one compiled
@@ -161,11 +154,8 @@ enum DerivKind {
 /// [`CompiledSystem::scratch`].
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
-    /// Combined variable buffer: `[states..., algebraics...]` for the legacy
-    /// tape path, and the observation output buffer for the fused path.
+    /// Observation output buffer (the algebraic segment).
     buf: Vec<f64>,
-    /// Register file reused across legacy tape evaluations.
-    regs: Vec<f64>,
     /// Register files for fused [`SystemProgram`]s, keyed by program id
     /// (one per program so constant pools stay primed).
     progs: Vec<ProgScratch>,
@@ -175,16 +165,6 @@ pub struct EvalScratch {
 }
 
 impl EvalScratch {
-    /// Grow (never shrink) the legacy buffers.
-    fn ensure(&mut self, slots: usize, regs: usize) {
-        if self.buf.len() < slots {
-            self.buf.resize(slots, 0.0);
-        }
-        if self.regs.len() < regs {
-            self.regs.resize(regs, 0.0);
-        }
-    }
-
     /// The program scratch primed for `id` (or a fresh one that the next
     /// evaluation will prime).
     fn prog_state(&mut self, id: u64) -> &mut ProgScratch {
@@ -331,25 +311,14 @@ impl<const L: usize> ark_ode::LanedOdeSystem<L> for LanedBoundSystem<'_, L> {
     }
 }
 
-/// The legacy per-node tape evaluator, kept as the reference semantics the
-/// fused [`SystemProgram`] path is property-tested against.
-#[derive(Debug)]
-struct LegacyTapes {
-    /// Algebraic tapes in evaluation (topological) order: `(slot, tape)`.
-    alg_tapes: Vec<(usize, Tape)>,
-    deriv_kinds: Vec<DerivKind>,
-    deriv_tapes: Vec<Tape>,
-    /// Largest register file any tape needs.
-    max_regs: usize,
-}
-
 /// A dynamical graph lowered to an executable first-order ODE system.
 ///
 /// The hot path is a pair of fused [`SystemProgram`]s (one for the
 /// right-hand side, one for observing algebraic nodes) produced by the
-/// optimizer pipeline in [`ark_expr::program`]; the legacy per-node tape
-/// evaluator is retained as reference semantics
-/// ([`CompiledSystem::rhs_legacy_with`]).
+/// optimizer pipeline in [`ark_expr::program`]. The simplified per-node
+/// expressions they were lowered from stay readable through
+/// [`CompiledSystem::node_expr`], so tests can check the programs against
+/// the reference evaluator [`ark_expr::eval()`].
 ///
 /// The compiled form is immutable and `Send + Sync`: compile once, then
 /// share it by reference across worker threads, giving each worker its own
@@ -372,10 +341,12 @@ pub struct CompiledSystem {
     param_sites: Vec<ParamSite>,
     /// State-index → parameter-slot overrides for the initial state.
     init_params: Vec<(usize, usize)>,
-    /// Reference per-tape evaluator (non-parametric compiles only).
-    legacy: Option<LegacyTapes>,
+    /// Node name → its simplified aggregated expression (the FormEq
+    /// result, attributes folded except parameter slots).
+    node_exprs: BTreeMap<String, Expr>,
     init: Vec<f64>,
-    equations: Vec<String>,
+    /// Rendered from `node_exprs` on first use.
+    equations: OnceLock<Vec<String>>,
     /// The value DAG the fused programs were lowered from, retained so the
     /// Jacobian program can be derived from the *same* hash-consed nodes
     /// (sharing subexpressions with the primal RHS).
@@ -477,7 +448,20 @@ impl CompiledSystem {
     /// Human-readable equations, one per state/algebraic variable — the
     /// "system of differential equations" the paper's compiler emits.
     pub fn equations(&self) -> &[String] {
-        &self.equations
+        self.equations.get_or_init(|| {
+            let algs = topo_algebraics(&self.alg_of_node, &self.node_exprs)
+                .expect("algebraic order checked at compile");
+            let states = self.state_vars.iter().enumerate().map(|(i, sv)| {
+                match chain_next(&self.state_vars, i) {
+                    Some(j) => format!("d{sv}/dt = {}", self.state_vars[j]),
+                    None => format!("d{sv}/dt = {}", self.node_exprs[&sv.node]),
+                }
+            });
+            algs.iter()
+                .map(|name| format!("{name} = {}", self.node_exprs[name]))
+                .chain(states)
+                .collect()
+        })
     }
 
     /// Number of state variables.
@@ -496,12 +480,18 @@ impl CompiledSystem {
         self.alg_of_node.get(node).copied()
     }
 
-    /// A fresh evaluation scratch sized for this system (one per worker).
+    /// The simplified aggregated expression of `node` — the right-hand side
+    /// of its highest derivative, or its value for an algebraic node — with
+    /// attributes folded to constants except parameter slots, which stay
+    /// [`Expr::Attr`] references ([`CompiledSystem::param_index`]).
+    /// `var(.)` leaves name other nodes. `None` for an unknown node.
+    pub fn node_expr(&self, node: &str) -> Option<&Expr> {
+        self.node_exprs.get(node)
+    }
+
+    /// A fresh evaluation scratch for this system (one per worker).
     pub fn scratch(&self) -> EvalScratch {
-        let mut s = EvalScratch::default();
-        let legacy_regs = self.legacy.as_ref().map_or(1, |l| l.max_regs);
-        s.ensure(self.num_states() + self.alg_of_node.len(), legacy_regs);
-        s
+        EvalScratch::default()
     }
 
     /// The ODE sparsity pattern: for each state `i`, the sorted state
@@ -886,39 +876,6 @@ impl CompiledSystem {
         }
     }
 
-    /// Evaluate the right-hand side through the *legacy per-node tape*
-    /// evaluator — the reference semantics the fused program is tested
-    /// against (and the baseline the `rhs` microbenchmark measures).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` has the wrong length, or on a parametric system (the
-    /// legacy evaluator cannot represent parameter slots).
-    pub fn rhs_legacy_with(&self, t: f64, y: &[f64], dydt: &mut [f64], scratch: &mut EvalScratch) {
-        let legacy = self
-            .legacy
-            .as_ref()
-            .expect("legacy tapes exist only for non-parametric compiles");
-        let n = self.num_states();
-        let n_algs = self.alg_of_node.len();
-        assert_eq!(y.len(), n, "state vector length mismatch");
-        scratch.ensure(n + n_algs, legacy.max_regs);
-        let EvalScratch { buf, regs, .. } = scratch;
-        buf[..n].copy_from_slice(y);
-        // Algebraic pass (order-0 nodes) in topological order.
-        for (slot, tape) in &legacy.alg_tapes {
-            let v = tape.eval(buf, t, regs);
-            buf[n + *slot] = v;
-        }
-        // Derivative pass.
-        for (i, kind) in legacy.deriv_kinds.iter().enumerate() {
-            dydt[i] = match kind {
-                DerivKind::Chain(j) => y[*j],
-                DerivKind::Tape(k) => legacy.deriv_tapes[*k].eval(buf, t, regs),
-            };
-        }
-    }
-
     /// Evaluate *all* algebraic (order-0) nodes at time `t` for state `y`
     /// through the given scratch, returning the algebraic segment indexed by
     /// [`CompiledSystem::algebraic_index`]. Runs the fused observation
@@ -1014,34 +971,6 @@ impl CompiledSystem {
         self.obs_prog.eval_lanes_bound(scratch, y, t, out);
     }
 
-    /// Evaluate all algebraic nodes through the *legacy per-node tape*
-    /// evaluator — reference semantics for the fused observation program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` has the wrong length or on a parametric system.
-    pub fn eval_algebraics_legacy_with<'s>(
-        &self,
-        t: f64,
-        y: &[f64],
-        scratch: &'s mut EvalScratch,
-    ) -> &'s [f64] {
-        let legacy = self
-            .legacy
-            .as_ref()
-            .expect("legacy tapes exist only for non-parametric compiles");
-        let n = self.num_states();
-        let n_algs = self.alg_of_node.len();
-        assert_eq!(y.len(), n, "state vector length mismatch");
-        scratch.ensure(n + n_algs, legacy.max_regs);
-        let EvalScratch { buf, regs, .. } = scratch;
-        buf[..n].copy_from_slice(y);
-        for (s, tape) in &legacy.alg_tapes {
-            buf[n + *s] = tape.eval(buf, t, regs);
-        }
-        &scratch.buf[n..n + n_algs]
-    }
-
     /// Interpreted instructions executed by one (cold) right-hand-side call
     /// on the fused path. Constants cost nothing; warm calls at a repeated
     /// `time` also skip the prologue ([`CompiledSystem::rhs_prologue_len`]).
@@ -1064,16 +993,6 @@ impl CompiledSystem {
     /// Pooled constants of the fused right-hand side.
     pub fn rhs_const_count(&self) -> usize {
         self.rhs_prog.const_count()
-    }
-
-    /// Interpreted instructions executed by one right-hand-side call on the
-    /// legacy per-node tape path (`None` for parametric compiles, which
-    /// have no legacy form).
-    pub fn legacy_rhs_instruction_count(&self) -> Option<usize> {
-        self.legacy.as_ref().map(|l| {
-            l.alg_tapes.iter().map(|(_, t)| t.len()).sum::<usize>()
-                + l.deriv_tapes.iter().map(Tape::len).sum::<usize>()
-        })
     }
 
     /// Total [`CompiledSystem`] compilations performed by this process so
@@ -1229,68 +1148,6 @@ impl CompiledSystem {
         // --- Topologically order algebraic nodes (Kahn's algorithm). ---
         let alg_order = topo_algebraics(&alg_of_node, &node_exprs)?;
 
-        // --- Legacy reference lowering (per-node tapes). Parameter slots
-        // cannot be represented on a tape, so parametric compiles carry the
-        // fused programs only. ---
-        let resolve = |name: &str| -> Option<usize> {
-            if let Some(&base) = state_of_node.get(name) {
-                Some(base)
-            } else {
-                alg_of_node.get(name).map(|&slot| n_states + slot)
-            }
-        };
-        let mut equations = Vec::new();
-        for name in &alg_order {
-            equations.push(format!("{name} = {}", node_exprs[name]));
-        }
-        let mut chain_of_state: Vec<Option<usize>> = Vec::with_capacity(n_states);
-        for (i, sv) in state_vars.iter().enumerate() {
-            let nt = lang
-                .node_type(&graph.node(graph.node_id(&sv.node).expect("from graph")).ty)
-                .expect("checked");
-            if sv.deriv + 1 < nt.order {
-                chain_of_state.push(Some(i + 1));
-                equations.push(format!("d{sv}/dt = {}", state_vars[i + 1]));
-            } else {
-                chain_of_state.push(None);
-                equations.push(format!("d{sv}/dt = {}", node_exprs[&sv.node]));
-            }
-        }
-        let legacy = if sites.is_empty() {
-            let mut alg_tapes = Vec::with_capacity(n_algs);
-            for name in &alg_order {
-                alg_tapes.push((
-                    alg_of_node[name],
-                    Tape::compile(&node_exprs[name], &resolve)?,
-                ));
-            }
-            let mut deriv_kinds = Vec::with_capacity(n_states);
-            let mut deriv_tapes = Vec::new();
-            for (i, sv) in state_vars.iter().enumerate() {
-                match chain_of_state[i] {
-                    Some(j) => deriv_kinds.push(DerivKind::Chain(j)),
-                    None => {
-                        deriv_tapes.push(Tape::compile(&node_exprs[&sv.node], &resolve)?);
-                        deriv_kinds.push(DerivKind::Tape(deriv_tapes.len() - 1));
-                    }
-                }
-            }
-            let max_regs = alg_tapes
-                .iter()
-                .map(|(_, t)| t.len())
-                .chain(deriv_tapes.iter().map(Tape::len))
-                .max()
-                .unwrap_or(1);
-            Some(LegacyTapes {
-                alg_tapes,
-                deriv_kinds,
-                deriv_tapes,
-                max_regs,
-            })
-        } else {
-            None
-        };
-
         // --- Fused lowering: one hash-consed value DAG for the whole
         // system. Algebraic `var(.)` references inline as DAG values, so
         // neighbor terms shared across nodes are computed once (CSE), and
@@ -1330,7 +1187,7 @@ impl CompiledSystem {
         let mut rhs_outputs = Vec::with_capacity(n_states);
         let mut node_value: BTreeMap<&str, ark_expr::program::ValueId> = BTreeMap::new();
         for (i, sv) in state_vars.iter().enumerate() {
-            match chain_of_state[i] {
+            match chain_next(&state_vars, i) {
                 Some(j) => rhs_outputs.push(pb.load(j)),
                 None => {
                     let v = match node_value.get(sv.node.as_str()) {
@@ -1379,14 +1236,25 @@ impl CompiledSystem {
             obs_prog,
             param_sites: sites.to_vec(),
             init_params,
-            legacy,
+            node_exprs,
             init,
-            equations,
+            equations: OnceLock::new(),
             builder: pb,
             rhs_outputs,
             jac: OnceLock::new(),
         })
     }
+}
+
+/// The LowOrdEqs chain: `d yᵢ/dt = yⱼ` with `j = i + 1` when the next
+/// state is the next derivative of the same node (a node's states are
+/// contiguous, lowest derivative first); `None` at a node's highest
+/// derivative, whose right-hand side is the node's expression.
+fn chain_next(state_vars: &[StateVar], i: usize) -> Option<usize> {
+    state_vars
+        .get(i + 1)
+        .filter(|next| next.node == state_vars[i].node)
+        .map(|_| i + 1)
 }
 
 /// Replace attribute references with graph-assigned constants and
@@ -1494,8 +1362,8 @@ fn store_err(slot: &RefCell<Option<CompileError>>, e: CompileError) {
 
 /// Combine per-edge terms with the node's reduction operator (FormEq),
 /// pairing terms into a balanced tree so expression depth — and with it
-/// `Tape::emit`/`Display` recursion — is O(log terms) for high-degree nodes
-/// instead of O(terms) from a left-nested fold.
+/// program lowering, evaluation and `Display` recursion — is O(log terms)
+/// for high-degree nodes instead of O(terms) from a left-nested fold.
 fn aggregate(reduction: Reduction, terms: Vec<Expr>) -> Expr {
     if terms.is_empty() {
         return Expr::Const(reduction.identity());
@@ -1772,7 +1640,7 @@ mod tests {
     #[test]
     fn laned_bind_matches_scalar_per_lane() {
         use ark_expr::LaneScratch;
-        use ark_ode::LaneWorkspace;
+        use ark_ode::{LaneWorkspace, Solver, Strided};
         const L: usize = 4;
         let lang = rc_lang();
         let mut b = GraphBuilder::new_parametric(&lang);
@@ -1815,9 +1683,11 @@ mod tests {
         let prefs: Vec<&[f64]> = lane_params.iter().map(|p| p.as_slice()).collect();
         let mut lscratch = LaneScratch::<L>::default();
         let bound = sys.bind_lanes(&prefs, &mut lscratch);
-        let laned = solver
-            .integrate_lanes_with(&bound, 0.0, &y0, 1.0, 10, &mut LaneWorkspace::new(n))
+        let mut rec = Strided::every(10);
+        solver
+            .solve(&bound, 0.0, &y0, 1.0, &mut rec, &mut LaneWorkspace::new(n))
             .unwrap();
+        let laned = rec.into_trajectories();
         for l in 0..L {
             assert_eq!(reference[l], laned[l], "lane {l}");
         }

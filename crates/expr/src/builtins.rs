@@ -4,7 +4,7 @@
 //! (ideal CNN saturation) and `sat_ni` (non-ideal MOS saturation, §7.1).
 //! `sat`/`sat_ni` are single-argument and handled as [`UnaryOp`]s in the AST;
 //! this module hosts the remaining multi-argument builtins and the lookup
-//! used by both the tree-walking evaluator and the tape compiler.
+//! used by both the tree-walking evaluator and the program compiler.
 //!
 //! [`UnaryOp`]: crate::UnaryOp
 

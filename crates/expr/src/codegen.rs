@@ -41,8 +41,7 @@
 //! reports what actually runs.
 
 use crate::ast::{BinaryOp, CmpOp, UnaryOp};
-use crate::program::{PInstr, POp, SystemProgram};
-use crate::tape::Builtin3;
+use crate::program::{Builtin3, PInstr, POp, SystemProgram};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;

@@ -50,8 +50,7 @@
 //! ```
 
 use crate::ast::{BinaryOp, CmpOp, UnaryOp};
-use crate::program::{ProgramBuilder, VNode, ValueId};
-use crate::tape::Builtin3;
+use crate::program::{Builtin3, ProgramBuilder, VNode, ValueId};
 use std::collections::HashMap;
 
 impl ProgramBuilder {

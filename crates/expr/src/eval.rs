@@ -1,8 +1,8 @@
 //! Tree-walking evaluation of expressions against an [`EvalContext`].
 //!
 //! This is the reference evaluator: simple, allocation-free for scalars, and
-//! used to cross-check the tape compiler (see `tape` module). Hot simulation
-//! loops use the tape instead.
+//! the oracle the fused [`SystemProgram`](crate::SystemProgram) is tested
+//! against bit for bit. Hot simulation loops run the fused program instead.
 
 use crate::ast::{BoolExpr, Expr, Lambda};
 use crate::builtins::eval_builtin;

@@ -12,8 +12,10 @@
 //!   frontend used by the full Ark parser in `ark-core`;
 //! * [`eval()`](eval())/[`eval_bool`] — the reference tree-walking evaluator over an
 //!   [`EvalContext`];
-//! * [`Tape`] — a flat register program for fast repeated evaluation inside
-//!   ODE right-hand sides (the form the dynamical-system compiler emits).
+//! * [`ProgramBuilder`]/[`SystemProgram`] — many expressions fused into one
+//!   optimized register program for fast repeated evaluation inside ODE
+//!   right-hand sides (the form the dynamical-system compiler emits), with
+//!   [`codegen`] lowering it to native code.
 //!
 //! # Examples
 //!
@@ -44,7 +46,6 @@ pub mod eval;
 pub mod lexer;
 pub mod parse;
 pub mod program;
-pub mod tape;
 
 pub use analysis::{
     analyze, determinism_lint, domain_analysis, DomainWarning, DomainWarningKind, Interval,
@@ -58,6 +59,5 @@ pub use eval::{eval, eval_bool, EvalContext, MapContext};
 pub use parse::{parse_bool_expr, parse_expr, parse_lambda};
 pub use program::{
     LaneScratch, ProgScratch, ProgramBuilder, ProgramResolver, SlotResolver, SystemProgram,
-    ValueId, VarRef,
+    TapeError, ValueId, VarRef,
 };
-pub use tape::{Tape, TapeError};

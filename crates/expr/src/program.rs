@@ -1,11 +1,11 @@
 //! Fused whole-system programs: many expressions, one instruction stream.
 //!
-//! [`Tape`](crate::Tape) compiles *one* expression into a linear register
-//! program; an Ark dynamical system has hundreds of them (one per node),
-//! which wastes work three ways: shared subexpressions are recomputed per
-//! node, every constant costs an interpreted instruction on every call, and
-//! each tape pays its own dispatch setup. [`ProgramBuilder`] instead lowers
-//! *all* of a system's expressions into one hash-consed value DAG and
+//! An Ark dynamical system has hundreds of expressions (one per node).
+//! Evaluating each on its own wastes work three ways: shared
+//! subexpressions are recomputed per node, every constant costs an
+//! interpreted instruction on every call, and each expression pays its own
+//! dispatch setup. [`ProgramBuilder`] instead lowers *all* of a system's
+//! expressions into one hash-consed value DAG and
 //! [`SystemProgram`] executes the whole right-hand side as a single fused
 //! instruction stream, optimized by a five-stage pipeline:
 //!
@@ -31,19 +31,73 @@
 //!    are reused as soon as their value dies, so the register file stays
 //!    cache-sized instead of growing one register per instruction.
 //!
-//! Evaluation semantics are *bit-identical* to evaluating each expression on
-//! its own [`Tape`](crate::Tape): every transformation either shares or
-//! fuses identical arithmetic, never reassociates or changes it. Property
-//! tests in `ark-core` pin this down against the legacy per-tape path.
+//! Evaluation semantics are *bit-identical* to the reference tree-walking
+//! evaluator [`crate::eval()`](crate::eval()): every transformation either
+//! shares or fuses identical arithmetic, never reassociates or changes it.
+//! Property tests here and in `ark-core` pin this down against `eval`.
 
 use crate::ast::{BinaryOp, BoolExpr, CmpOp, Expr, UnaryOp};
+use crate::builtins;
 use crate::codegen::{
     Backend, CodegenCache, CodegenError, NativeKernel, NativeStatus, NATIVE_LANE_WIDTHS,
 };
-use crate::tape::{Builtin3, TapeError};
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// Multi-argument builtins with a dedicated program opcode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Builtin3 {
+    /// `pulse(t, t0, width)` trapezoidal pulse.
+    Pulse,
+    /// `square_pulse(t, t0, width)` rectangular pulse.
+    SquarePulse,
+    /// `smoothstep(t, t0, tau)` logistic step.
+    Smoothstep,
+}
+
+impl Builtin3 {
+    /// Apply the builtin to its three arguments.
+    pub fn apply(self, a: f64, b: f64, c: f64) -> f64 {
+        match self {
+            Builtin3::Pulse => builtins::pulse(a, b, c),
+            Builtin3::SquarePulse => builtins::square_pulse(a, b, c),
+            Builtin3::Smoothstep => builtins::smoothstep(a, b, c),
+        }
+    }
+}
+
+/// An error produced while lowering an expression into a program
+/// ([`ProgramBuilder::add_expr`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TapeError {
+    /// `var(.)` reference that the resolver could not map to a slot.
+    UnresolvedVar(String),
+    /// Attribute reference that survived constant folding.
+    UnresolvedAttr(String, String),
+    /// Argument reference that survived substitution.
+    UnresolvedArg(String),
+    /// A call that is not a program-representable builtin.
+    UnsupportedCall(String),
+}
+
+impl fmt::Display for TapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TapeError::UnresolvedVar(n) => write!(f, "unresolved variable var({n})"),
+            TapeError::UnresolvedAttr(n, a) => {
+                write!(f, "attribute {n}.{a} not folded before tape compilation")
+            }
+            TapeError::UnresolvedArg(n) => {
+                write!(f, "argument {n} not substituted before tape compilation")
+            }
+            TapeError::UnsupportedCall(n) => write!(f, "call to `{n}` not supported on tape"),
+        }
+    }
+}
+
+impl std::error::Error for TapeError {}
 
 /// A value in the program builder's hash-consed DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -79,7 +133,7 @@ pub trait ProgramResolver {
 
     /// Resolve an attribute reference `entity.attr` to a parameter slot.
     /// The default (no parameters) rejects all attribute references, which
-    /// makes unfolded attributes a compile error exactly like on a tape.
+    /// makes unfolded attributes a compile error.
     fn attr(&self, _entity: &str, _attr: &str) -> Option<usize> {
         None
     }
@@ -220,9 +274,9 @@ impl ProgramBuilder {
     ///
     /// # Errors
     ///
-    /// The same leaf errors as [`Tape::compile`](crate::Tape::compile):
-    /// unresolved variables, attributes without a parameter slot, arguments,
-    /// and unsupported calls.
+    /// A [`TapeError`] for a leaf that cannot be lowered: unresolved
+    /// variables, attributes without a parameter slot, arguments, and
+    /// unsupported calls.
     pub fn add_expr(
         &mut self,
         expr: &Expr,
@@ -1317,7 +1371,6 @@ mod tests {
     use super::*;
     use crate::eval::{eval, MapContext};
     use crate::parse::parse_expr;
-    use crate::tape::Tape;
 
     fn eval_program(srcs: &[&str], vars: &[(&str, f64)], time: f64) -> Vec<f64> {
         let mut pb = ProgramBuilder::new();
@@ -1336,7 +1389,7 @@ mod tests {
     }
 
     #[test]
-    fn program_matches_tape_and_eval() {
+    fn program_matches_eval() {
         let srcs = [
             "1 + 2*var(x) - var(y)/4",
             "sin(var(x)) + cos(var(x)) * tanh(var(y))",
@@ -1355,10 +1408,6 @@ mod tests {
             }
             let reference = eval(&e, &ctx).unwrap();
             assert_eq!(reference.to_bits(), g.to_bits(), "{src}");
-            let tape = Tape::compile(&e, &|n| vars.iter().position(|(m, _)| *m == n)).unwrap();
-            let slots: Vec<f64> = vars.iter().map(|(_, v)| *v).collect();
-            let mut regs = tape.new_registers();
-            assert_eq!(tape.eval(&slots, t, &mut regs).to_bits(), g.to_bits());
         }
     }
 
@@ -1498,7 +1547,7 @@ mod tests {
     }
 
     #[test]
-    fn unresolved_leaves_error_like_tapes() {
+    fn unresolved_leaves_error() {
         let mut pb = ProgramBuilder::new();
         let none = SlotResolver(|_: &str| None);
         assert_eq!(
@@ -1626,12 +1675,118 @@ mod tests {
             "-var(x)",
         ] {
             let got = eval_program(&[src], &vars, 0.0)[0];
-            let e = parse_expr(src).unwrap();
-            let tape = Tape::compile(&e, &|n| vars.iter().position(|(m, _)| *m == n)).unwrap();
-            let slots: Vec<f64> = vars.iter().map(|(_, v)| *v).collect();
-            let mut regs = tape.new_registers();
-            let want = tape.eval(&slots, 0.0, &mut regs);
+            let ctx = MapContext::new()
+                .with_var("x", vars[0].1)
+                .with_var("y", vars[1].1);
+            let want = eval(&parse_expr(src).unwrap(), &ctx).unwrap();
             assert_eq!(want.to_bits(), got.to_bits(), "{src}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::eval::{eval, MapContext};
+    use proptest::prelude::*;
+
+    /// Strategy for random expressions over vars x (slot 0) and y (slot 1).
+    fn arb_expr() -> impl Strategy<Value = Expr> {
+        let leaf = prop_oneof![
+            (-10.0..10.0f64).prop_map(Expr::Const),
+            Just(Expr::Time),
+            Just(Expr::var("x")),
+            Just(Expr::var("y")),
+        ];
+        leaf.prop_recursive(4, 64, 3, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.add(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.sub(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.mul(b)),
+                inner.clone().prop_map(|a| a.neg()),
+                inner.clone().prop_map(|a| a.sin()),
+                inner
+                    .clone()
+                    .prop_map(|a| a.unary(crate::ast::UnaryOp::Tanh)),
+                inner.prop_map(|a| a.unary(crate::ast::UnaryOp::Sat)),
+            ]
+        })
+    }
+
+    proptest! {
+        /// The fused program and the tree-walking evaluator agree bit for
+        /// bit (NaN matching NaN). Two outputs share the product `a*b`, so
+        /// hash-consing merges it across outputs, while the single-use
+        /// `b*c` fuses into a multiply-add.
+        #[test]
+        fn program_bit_identical_to_eval(
+            a in arb_expr(),
+            b in arb_expr(),
+            c in arb_expr(),
+            x in -5.0..5.0f64,
+            y in -5.0..5.0f64,
+            t in 0.0..10.0f64,
+        ) {
+            let exprs = [
+                a.clone().mul(b.clone()).add(c.clone()),
+                c.clone().sub(a.clone().mul(b.clone())),
+                b.clone().mul(c).add(a.clone()),
+                a,
+                b,
+            ];
+            let resolve = SlotResolver(|n: &str| match n {
+                "x" => Some(0),
+                "y" => Some(1),
+                _ => None,
+            });
+            let mut pb = ProgramBuilder::new();
+            let outs: Vec<ValueId> = exprs
+                .iter()
+                .map(|e| pb.add_expr(e, &resolve).unwrap())
+                .collect();
+            let prog = pb.finish(&outs, 0);
+            let mut got = [0.0; 5];
+            prog.eval_into(&mut ProgScratch::default(), &[x, y], t, &[], &mut got);
+            let ctx = MapContext::new().at_time(t).with_var("x", x).with_var("y", y);
+            for (e, g) in exprs.iter().zip(got) {
+                let want = eval(e, &ctx).unwrap();
+                if want.is_nan() {
+                    prop_assert!(g.is_nan(), "expr {} gave {} vs NaN", e, g);
+                } else {
+                    prop_assert_eq!(want.to_bits(), g.to_bits(),
+                        "expr {} gave {} vs {}", e, g, want);
+                }
+            }
+        }
+
+        /// Simplification preserves semantics.
+        #[test]
+        fn simplify_preserves_semantics(e in arb_expr(), x in -5.0..5.0f64, y in -5.0..5.0f64, t in 0.0..10.0f64) {
+            let ctx = MapContext::new().at_time(t).with_var("x", x).with_var("y", y);
+            let reference = eval(&e, &ctx).unwrap();
+            let simplified = eval(&e.simplify(), &ctx).unwrap();
+            if reference.is_nan() {
+                prop_assert!(simplified.is_nan());
+            } else {
+                let scale = reference.abs().max(1.0);
+                prop_assert!((reference - simplified).abs() <= 1e-12 * scale);
+            }
+        }
+
+        /// Display → parse round-trips semantics for generated expressions.
+        #[test]
+        fn display_parse_roundtrip(e in arb_expr(), x in -5.0..5.0f64, y in -5.0..5.0f64) {
+            let printed = e.to_string();
+            let reparsed = crate::parse::parse_expr(&printed).unwrap();
+            let ctx = MapContext::new().with_var("x", x).with_var("y", y);
+            let a = eval(&e, &ctx).unwrap();
+            let b = eval(&reparsed, &ctx).unwrap();
+            if a.is_nan() {
+                prop_assert!(b.is_nan());
+            } else {
+                let scale = a.abs().max(1.0);
+                prop_assert!((a - b).abs() <= 1e-12 * scale, "printed: {}", printed);
+            }
         }
     }
 }

@@ -17,19 +17,19 @@
 //!   per-lane early-exit masks, opt-in because the voted step grid trades
 //!   bit-identity across lane widths for ensemble throughput.
 //!
-//! Every solver keeps its historical inherent entry points — `integrate`
-//! (allocating), `integrate_with` (caller-provided [`OdeWorkspace`], zero
-//! per-step allocations), and `integrate_lanes_with` (lockstep lanes) —
-//! as wrappers pairing [`Solver::solve`] with a
-//! [`Strided`] trajectory recorder. All of them produce
-//! trajectories bit-identical to the pre-redesign implementations.
+//! Every solver also has an allocating `integrate` convenience, which
+//! pairs [`Solver::solve`] with a [`Strided`] trajectory recorder and a
+//! fresh [`OdeWorkspace`]. Hot loops call [`Solver::solve`] directly with
+//! a reused workspace (and, for lockstep lanes, a
+//! [`LaneWorkspace`](crate::LaneWorkspace) over a
+//! [`LanedOdeSystem`](crate::LanedOdeSystem)).
 
 use crate::observe::Strided;
 use crate::solver::{
-    Adaptive, Dp45Stages, Elem, EulerStages, Fixed, LaneWorkspace, OdeWorkspace, Rk4Stages, Solver,
-    StepControl, SystemOver, VotingAdaptive, Workspace,
+    Adaptive, Dp45Stages, Elem, EulerStages, Fixed, OdeWorkspace, Rk4Stages, Solver, StepControl,
+    SystemOver, VotingAdaptive, Workspace,
 };
-use crate::system::{LanedOdeSystem, OdeSystem};
+use crate::system::OdeSystem;
 use crate::trajectory::Trajectory;
 use std::fmt;
 
@@ -187,19 +187,19 @@ impl From<LaneError> for SolveError {
     }
 }
 
-/// Shared wrapper: run `solver` with a [`Strided`] recorder, one lane.
-fn record<V: Solver, E: Elem, S: SystemOver<E> + ?Sized>(
+/// Shared body of the allocating `integrate` methods: run `solver` with a
+/// [`Strided`] recorder through a fresh workspace.
+fn record<V: Solver>(
     solver: &V,
-    sys: &S,
+    sys: &impl OdeSystem,
     t0: f64,
-    y0: &[E],
+    y0: &[f64],
     t1: f64,
     stride: usize,
-    ws: &mut Workspace<E>,
-) -> Result<Vec<Trajectory>, SolveError> {
+) -> Result<Trajectory, SolveError> {
     let mut rec = Strided::every(stride);
-    solver.solve(sys, t0, y0, t1, &mut rec, ws)?;
-    Ok(rec.into_trajectories())
+    solver.solve(sys, t0, y0, t1, &mut rec, &mut OdeWorkspace::new(y0.len()))?;
+    Ok(rec.into_trajectory())
 }
 
 /// Forward Euler with a fixed step. Mostly a baseline for convergence tests.
@@ -226,8 +226,8 @@ impl Solver for Euler {
 impl Euler {
     /// Integrate from `t0` to `t1`, recording every `stride`-th step (the
     /// initial and final states are always recorded). Allocates work buffers
-    /// internally; see [`Euler::integrate_with`] for the reusable-buffer
-    /// form.
+    /// internally; hot loops call [`Solver::solve`] with a reused
+    /// [`OdeWorkspace`] instead.
     ///
     /// # Errors
     ///
@@ -241,54 +241,7 @@ impl Euler {
         t1: f64,
         stride: usize,
     ) -> Result<Trajectory, SolveError> {
-        self.integrate_with(sys, t0, y0, t1, stride, &mut OdeWorkspace::new(y0.len()))
-    }
-
-    /// Like [`Euler::integrate`], but stepping through the caller-provided
-    /// workspace: the hot loop performs no allocations beyond amortized
-    /// trajectory growth.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Euler::integrate`].
-    pub fn integrate_with(
-        &self,
-        sys: &impl OdeSystem,
-        t0: f64,
-        y0: &[f64],
-        t1: f64,
-        stride: usize,
-        ws: &mut OdeWorkspace,
-    ) -> Result<Trajectory, SolveError> {
-        Ok(record(self, sys, t0, y0, t1, stride, ws)?
-            .pop()
-            .expect("one lane"))
-    }
-
-    /// Lane-batched [`Euler::integrate_with`]: steps `L` independent
-    /// instances in lockstep, producing one trajectory per lane. Each
-    /// lane's trajectory (samples *and* stats) is bit-identical to a scalar
-    /// [`Euler::integrate_with`] of that lane alone — the update arithmetic
-    /// is elementwise and ordered exactly like the scalar loop.
-    ///
-    /// `y0` is struct-of-arrays: `y0[i][l]` is state component `i` of lane
-    /// `l`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Euler::integrate_with`]; when lanes fail, the *lowest* failed
-    /// lane's error is reported (lanes keep stepping after another lane
-    /// fails, so the reported lane and time match the scalar path).
-    pub fn integrate_lanes_with<const L: usize>(
-        &self,
-        sys: &impl LanedOdeSystem<L>,
-        t0: f64,
-        y0: &[[f64; L]],
-        t1: f64,
-        stride: usize,
-        ws: &mut LaneWorkspace<L>,
-    ) -> Result<Vec<Trajectory>, SolveError> {
-        record(self, sys, t0, y0, t1, stride, ws)
+        record(self, sys, t0, y0, t1, stride)
     }
 }
 
@@ -316,7 +269,8 @@ impl Solver for Rk4 {
 impl Rk4 {
     /// Integrate from `t0` to `t1`, recording every `stride`-th step (the
     /// initial and final states are always recorded). Allocates work buffers
-    /// internally; see [`Rk4::integrate_with`] for the reusable-buffer form.
+    /// internally; hot loops call [`Solver::solve`] with a reused
+    /// [`OdeWorkspace`] instead.
     ///
     /// # Errors
     ///
@@ -330,61 +284,7 @@ impl Rk4 {
         t1: f64,
         stride: usize,
     ) -> Result<Trajectory, SolveError> {
-        self.integrate_with(sys, t0, y0, t1, stride, &mut OdeWorkspace::new(y0.len()))
-    }
-
-    /// Like [`Rk4::integrate`], but stepping through the caller-provided
-    /// workspace: the hot loop performs no allocations beyond amortized
-    /// trajectory growth.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Rk4::integrate`].
-    pub fn integrate_with(
-        &self,
-        sys: &impl OdeSystem,
-        t0: f64,
-        y0: &[f64],
-        t1: f64,
-        stride: usize,
-        ws: &mut OdeWorkspace,
-    ) -> Result<Trajectory, SolveError> {
-        Ok(record(self, sys, t0, y0, t1, stride, ws)?
-            .pop()
-            .expect("one lane"))
-    }
-
-    /// Lane-batched [`Rk4::integrate_with`]: steps `L` independent
-    /// instances in lockstep, producing one trajectory per lane. Each
-    /// lane's trajectory (samples *and* stats) is bit-identical to a scalar
-    /// [`Rk4::integrate_with`] of that lane alone: every stage update is
-    /// elementwise with the same operation order as the scalar loop, and
-    /// fixed-step lockstep means all lanes share the exact `t` grid (which
-    /// also keeps the laned interpreter's time-prologue cache shared).
-    ///
-    /// This is the workhorse of the `ark-sim` laned ensembles. The
-    /// PI-adaptive [`DormandPrince`] deliberately has **no** laned form —
-    /// see its type docs; [`VotingDormandPrince`] is the opt-in laned
-    /// adaptive mode.
-    ///
-    /// `y0` is struct-of-arrays: `y0[i][l]` is state component `i` of lane
-    /// `l`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Rk4::integrate_with`]; when lanes fail, the *lowest* failed
-    /// lane's error is reported (lanes keep stepping after another lane
-    /// fails, so the reported lane and time match the scalar path).
-    pub fn integrate_lanes_with<const L: usize>(
-        &self,
-        sys: &impl LanedOdeSystem<L>,
-        t0: f64,
-        y0: &[[f64; L]],
-        t1: f64,
-        stride: usize,
-        ws: &mut LaneWorkspace<L>,
-    ) -> Result<Vec<Trajectory>, SolveError> {
-        record(self, sys, t0, y0, t1, stride, ws)
+        record(self, sys, t0, y0, t1, stride)
     }
 }
 
@@ -482,8 +382,8 @@ impl DormandPrince {
     }
 
     /// Integrate from `t0` to `t1`, recording every accepted step. Allocates
-    /// work buffers internally; see [`DormandPrince::integrate_with`] for
-    /// the reusable-buffer form.
+    /// work buffers internally; hot loops call [`Solver::solve`] with a
+    /// reused [`OdeWorkspace`] instead.
     ///
     /// Samples land on the accepted (possibly large) steps; if you need to
     /// interpolate the result densely, bound `h_max` so linear interpolation
@@ -505,27 +405,7 @@ impl DormandPrince {
         y0: &[f64],
         t1: f64,
     ) -> Result<Trajectory, SolveError> {
-        self.integrate_with(sys, t0, y0, t1, &mut OdeWorkspace::new(y0.len()))
-    }
-
-    /// Like [`DormandPrince::integrate`], but stepping through the
-    /// caller-provided workspace: the hot loop performs no allocations
-    /// beyond amortized trajectory growth.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DormandPrince::integrate`].
-    pub fn integrate_with(
-        &self,
-        sys: &impl OdeSystem,
-        t0: f64,
-        y0: &[f64],
-        t1: f64,
-        ws: &mut OdeWorkspace,
-    ) -> Result<Trajectory, SolveError> {
-        Ok(record(self, sys, t0, y0, t1, 1, ws)?
-            .pop()
-            .expect("one lane"))
+        record(self, sys, t0, y0, t1, 1)
     }
 }
 
@@ -586,6 +466,22 @@ mod tests {
 
     fn decay() -> FnSystem<impl Fn(f64, &[f64], &mut [f64])> {
         FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = -y[0])
+    }
+
+    /// Run `solver` through the caller's workspace with a [`Strided`]
+    /// recorder: one trajectory per lane.
+    pub(super) fn solve_strided<V: Solver, E: Elem, S: SystemOver<E> + ?Sized>(
+        solver: &V,
+        sys: &S,
+        t0: f64,
+        y0: &[E],
+        t1: f64,
+        stride: usize,
+        ws: &mut Workspace<E>,
+    ) -> Result<Vec<Trajectory>, SolveError> {
+        let mut rec = Strided::every(stride);
+        solver.solve(sys, t0, y0, t1, &mut rec, ws)?;
+        Ok(rec.into_trajectories())
     }
 
     #[test]
@@ -735,23 +631,26 @@ mod tests {
     fn workspace_is_reusable_across_dims_and_solvers() {
         let mut ws = OdeWorkspace::new(1);
         let sys1 = decay();
-        let a = Rk4 { dt: 1e-2 }
-            .integrate_with(&sys1, 0.0, &[1.0], 1.0, 10, &mut ws)
-            .unwrap();
+        let a = solve_strided(&Rk4 { dt: 1e-2 }, &sys1, 0.0, &[1.0], 1.0, 10, &mut ws).unwrap();
         // Same workspace, larger system.
         let sys2 = FnSystem::new(2, |_t, y: &[f64], d: &mut [f64]| {
             d[0] = y[1];
             d[1] = -y[0];
         });
-        let b = DormandPrince::default()
-            .integrate_with(&sys2, 0.0, &[1.0, 0.0], 1.0, &mut ws)
-            .unwrap();
+        let b = solve_strided(
+            &DormandPrince::default(),
+            &sys2,
+            0.0,
+            &[1.0, 0.0],
+            1.0,
+            1,
+            &mut ws,
+        )
+        .unwrap();
         // And back down again, matching the fresh-buffer path exactly.
-        let c = Rk4 { dt: 1e-2 }
-            .integrate_with(&sys1, 0.0, &[1.0], 1.0, 10, &mut ws)
-            .unwrap();
+        let c = solve_strided(&Rk4 { dt: 1e-2 }, &sys1, 0.0, &[1.0], 1.0, 10, &mut ws).unwrap();
         assert_eq!(a, c);
-        assert_eq!(b.dim(), 2);
+        assert_eq!(b[0].dim(), 2);
     }
 
     #[test]
@@ -882,16 +781,16 @@ mod tests {
         const L: usize = 4;
         let rates = [0.5, 1.0, 2.0, 3.25];
         let y0s = [1.0, -2.0, 0.125, 7.5];
-        let laned = Rk4 { dt: 1e-2 }
-            .integrate_lanes_with(
-                &laned_decay(rates),
-                0.0,
-                &[y0s],
-                1.0,
-                7,
-                &mut LaneWorkspace::new(1),
-            )
-            .unwrap();
+        let laned = solve_strided(
+            &Rk4 { dt: 1e-2 },
+            &laned_decay(rates),
+            0.0,
+            &[y0s],
+            1.0,
+            7,
+            &mut LaneWorkspace::new(1),
+        )
+        .unwrap();
         for l in 0..L {
             let sys = FnSystem::new(1, move |_t, y: &[f64], d: &mut [f64]| {
                 d[0] = -rates[l] * y[0]
@@ -907,16 +806,16 @@ mod tests {
     fn laned_euler_matches_scalar_bit_for_bit() {
         const L: usize = 2;
         let rates = [0.5, 4.0];
-        let laned = Euler { dt: 1e-2 }
-            .integrate_lanes_with(
-                &laned_decay(rates),
-                0.0,
-                &[[1.0; L]],
-                1.0,
-                3,
-                &mut LaneWorkspace::new(1),
-            )
-            .unwrap();
+        let laned = solve_strided(
+            &Euler { dt: 1e-2 },
+            &laned_decay(rates),
+            0.0,
+            &[[1.0; L]],
+            1.0,
+            3,
+            &mut LaneWorkspace::new(1),
+        )
+        .unwrap();
         for l in 0..L {
             let sys = FnSystem::new(1, move |_t, y: &[f64], d: &mut [f64]| {
                 d[0] = -rates[l] * y[0]
@@ -938,9 +837,16 @@ mod tests {
             d[0][0] = -y[0][0];
             d[0][1] = y[0][1] * y[0][1];
         });
-        let got = Rk4 { dt: 1e-3 }
-            .integrate_lanes_with(&sys, 0.0, &[[1.0, 1.0]], 2.0, 1, &mut LaneWorkspace::new(1))
-            .unwrap_err();
+        let got = solve_strided(
+            &Rk4 { dt: 1e-3 },
+            &sys,
+            0.0,
+            &[[1.0, 1.0]],
+            2.0,
+            1,
+            &mut LaneWorkspace::new(1),
+        )
+        .unwrap_err();
         let scalar_sys = FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = y[0] * y[0]);
         let want = Rk4 { dt: 1e-3 }
             .integrate(&scalar_sys, 0.0, &[1.0], 2.0, 1)
@@ -951,16 +857,16 @@ mod tests {
     #[test]
     fn laned_workspace_is_reusable_across_dims() {
         let mut ws = LaneWorkspace::<2>::new(1);
-        let a = Rk4 { dt: 1e-2 }
-            .integrate_lanes_with(
-                &laned_decay([1.0, 2.0]),
-                0.0,
-                &[[1.0, 1.0]],
-                1.0,
-                5,
-                &mut ws,
-            )
-            .unwrap();
+        let a = solve_strided(
+            &Rk4 { dt: 1e-2 },
+            &laned_decay([1.0, 2.0]),
+            0.0,
+            &[[1.0, 1.0]],
+            1.0,
+            5,
+            &mut ws,
+        )
+        .unwrap();
         // Same workspace, larger system (two state components).
         let sys2 =
             crate::system::FnLanedSystem::new(2, |_t, y: &[[f64; 2]], d: &mut [[f64; 2]]| {
@@ -969,20 +875,27 @@ mod tests {
                     d[1][l] = -y[0][l];
                 }
             });
-        let b = Rk4 { dt: 1e-2 }
-            .integrate_lanes_with(&sys2, 0.0, &[[1.0, 1.0], [0.0, 0.0]], 1.0, 5, &mut ws)
-            .unwrap();
+        let b = solve_strided(
+            &Rk4 { dt: 1e-2 },
+            &sys2,
+            0.0,
+            &[[1.0, 1.0], [0.0, 0.0]],
+            1.0,
+            5,
+            &mut ws,
+        )
+        .unwrap();
         // And back down, matching the fresh-buffer path exactly.
-        let c = Rk4 { dt: 1e-2 }
-            .integrate_lanes_with(
-                &laned_decay([1.0, 2.0]),
-                0.0,
-                &[[1.0, 1.0]],
-                1.0,
-                5,
-                &mut LaneWorkspace::new(1),
-            )
-            .unwrap();
+        let c = solve_strided(
+            &Rk4 { dt: 1e-2 },
+            &laned_decay([1.0, 2.0]),
+            0.0,
+            &[[1.0, 1.0]],
+            1.0,
+            5,
+            &mut LaneWorkspace::new(1),
+        )
+        .unwrap();
         assert_eq!(a, c);
         assert_eq!(b[0].dim(), 2);
     }
@@ -1110,8 +1023,10 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::solve_strided;
     use super::*;
     use crate::system::{FnSystem, LinearSystem};
+    use crate::LaneWorkspace;
     use proptest::prelude::*;
 
     proptest! {
@@ -1178,11 +1093,9 @@ mod proptests {
             });
             let y0s = [[y0[0], y0[1], y0[2], y0[3]]];
             for dt in [0.05, 0.013] {
-                let laned = Rk4 { dt }
-                    .integrate_lanes_with(&sys, 0.0, &y0s, t1, stride, &mut LaneWorkspace::new(1))
+                let laned = solve_strided(&Rk4 { dt }, &sys, 0.0, &y0s, t1, stride, &mut LaneWorkspace::new(1))
                     .unwrap();
-                let laned_e = Euler { dt }
-                    .integrate_lanes_with(&sys, 0.0, &y0s, t1, stride, &mut LaneWorkspace::new(1))
+                let laned_e = solve_strided(&Euler { dt }, &sys, 0.0, &y0s, t1, stride, &mut LaneWorkspace::new(1))
                     .unwrap();
                 for l in 0..L {
                     let scalar_sys = FnSystem::new(1, move |_t, y: &[f64], d: &mut [f64]| {
@@ -1196,9 +1109,10 @@ mod proptests {
             }
         }
 
-        /// The in-place (`integrate_with`) API is bit-identical to the
-        /// legacy allocating API on random linear systems, for every solver
-        /// — including when the workspace is dirty from a previous run.
+        /// Solving through a reused workspace is bit-identical to the
+        /// allocating `integrate` on random linear systems, for every
+        /// solver — including when the workspace is dirty from a previous
+        /// run.
         #[test]
         fn inplace_matches_allocating(
             a in proptest::collection::vec(-2.0..2.0f64, 9),
@@ -1212,17 +1126,17 @@ mod proptests {
             });
             let mut ws = OdeWorkspace::new(1); // deliberately undersized
             for dt in [0.05, 0.01] {
-                let legacy = Euler { dt }.integrate(&sys, 0.0, &y0, 1.0, 3);
-                let inplace = Euler { dt }.integrate_with(&sys, 0.0, &y0, 1.0, 3, &mut ws);
-                prop_assert_eq!(legacy, inplace);
-                let legacy = Rk4 { dt }.integrate(&sys, 0.0, &y0, 1.0, 3);
-                let inplace = Rk4 { dt }.integrate_with(&sys, 0.0, &y0, 1.0, 3, &mut ws);
-                prop_assert_eq!(legacy, inplace);
+                let alloc = Euler { dt }.integrate(&sys, 0.0, &y0, 1.0, 3).map(|tr| vec![tr]);
+                let inplace = solve_strided(&Euler { dt }, &sys, 0.0, &y0, 1.0, 3, &mut ws);
+                prop_assert_eq!(alloc, inplace);
+                let alloc = Rk4 { dt }.integrate(&sys, 0.0, &y0, 1.0, 3).map(|tr| vec![tr]);
+                let inplace = solve_strided(&Rk4 { dt }, &sys, 0.0, &y0, 1.0, 3, &mut ws);
+                prop_assert_eq!(alloc, inplace);
             }
             let dp = DormandPrince::new(1e-7, 1e-10);
-            let legacy = dp.integrate(&sys, 0.0, &y0, 1.0);
-            let inplace = dp.integrate_with(&sys, 0.0, &y0, 1.0, &mut ws);
-            prop_assert_eq!(legacy, inplace);
+            let alloc = dp.integrate(&sys, 0.0, &y0, 1.0).map(|tr| vec![tr]);
+            let inplace = solve_strided(&dp, &sys, 0.0, &y0, 1.0, 1, &mut ws);
+            prop_assert_eq!(alloc, inplace);
         }
 
         /// Step-size voting at width 4: every lane's result meets the

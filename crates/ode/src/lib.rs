@@ -24,14 +24,14 @@
 //!   estimate or fixed-grid, consuming analytic Jacobians through
 //!   [`OdeSystem::jacobian`] (finite-difference fallback) — the stepper for
 //!   stiff designs where explicit methods need `h ≲ 1/λ` — see [`implicit`];
-//! * [`OdeWorkspace`] — reusable integration buffers: every solver offers an
-//!   `integrate_with` variant whose hot loop performs zero per-step
-//!   allocations, the form the `ark-sim` ensemble engine runs per worker;
+//! * [`OdeWorkspace`] — reusable integration buffers: [`Solver::solve`]
+//!   through a reused workspace performs zero per-step allocations, the
+//!   form the `ark-sim` ensemble engine runs per worker;
 //! * [`LanedOdeSystem`] / [`LaneWorkspace`] — the lane-batched
-//!   (struct-of-arrays) siblings: [`Rk4::integrate_lanes_with`] and
-//!   [`Euler::integrate_lanes_with`] step `L` ensemble instances in
-//!   lockstep, bit-identical per lane to the scalar path (the PI-adaptive
-//!   solver deliberately has no laned form — see [`DormandPrince`]);
+//!   (struct-of-arrays) siblings: [`Rk4`] and [`Euler`] solved over them
+//!   step `L` ensemble instances in lockstep, bit-identical per lane to the
+//!   scalar path (the PI-adaptive solver deliberately has no laned form —
+//!   see [`DormandPrince`]);
 //! * [`Trajectory`] — recorded solutions (flat sample storage) with
 //!   interpolation, windows, and resampling (observation windows for PUF
 //!   responses, §2.2);
@@ -74,8 +74,7 @@ pub use integrate::{DormandPrince, Euler, LaneError, Rk4, SolveError, VotingDorm
 pub use observe::{DenseRecorder, FinalState, Observer, Probe, StepInfo, Strided};
 pub use solver::{
     Adaptive, Dp45Stages, Elem, EmbeddedStepper, EulerStages, Fixed, LaneWorkspace, Method,
-    OdeWorkspace, Rk4Stages, Session, Solver, StepControl, Stepper, SystemOver, VotingAdaptive,
-    Workspace,
+    OdeWorkspace, Rk4Stages, Solver, StepControl, Stepper, SystemOver, VotingAdaptive, Workspace,
 };
 pub use system::{FnLanedSystem, FnSystem, LanedOdeSystem, LinearSystem, OdeSystem, StageHint};
 pub use trajectory::{relative_rmse, SolveStats, Trajectory};

@@ -29,7 +29,7 @@ use ark_core::types::SigType;
 use ark_core::validate::ExternRegistry;
 use ark_core::{CompiledSystem, EvalScratch, FuncError, Graph, LaneScratch, LangError};
 use ark_expr::parse_expr;
-use ark_ode::{OdeWorkspace, Trajectory};
+use ark_ode::{OdeWorkspace, Solver, Strided, Trajectory};
 use ark_sim::LaneReadout;
 
 /// A 3×3 CNN template: feedback matrix `A`, control matrix `B`, bias `z`.
@@ -606,17 +606,16 @@ fn run_cnn_core(
     ws: &mut OdeWorkspace,
 ) -> Result<CnnRun, crate::DynError> {
     let y0 = sys.initial_state_for(params);
-    let tr = {
-        let bound = sys.bind_ref(params, scratch);
-        ark_ode::Rk4 { dt: CNN_SOLVER_DT }.integrate_with(
-            &bound,
-            0.0,
-            &y0,
-            t_end,
-            CNN_SOLVER_STRIDE,
-            ws,
-        )?
-    };
+    let mut rec = Strided::every(CNN_SOLVER_STRIDE);
+    ark_ode::Rk4 { dt: CNN_SOLVER_DT }.solve(
+        &sys.bind_ref(params, scratch),
+        0.0,
+        &y0,
+        t_end,
+        &mut rec,
+        ws,
+    )?;
+    let tr = rec.into_trajectory();
     read_cnn_run(sys, width, height, params, t_end, snap_times, &tr, scratch)
 }
 

@@ -8,7 +8,7 @@
 
 use ark_core::func::{GraphBuilder, ParametricGraph};
 use ark_core::{CompiledSystem, EvalScratch, FuncError, Graph, Language};
-use ark_ode::{OdeWorkspace, Rk4, SolveError, Trajectory};
+use ark_ode::{OdeWorkspace, Rk4, SolveError, Solver, Strided, Trajectory};
 use ark_paradigms::tln::{pulse_fn, MismatchKind, TlineConfig};
 use std::fmt;
 
@@ -269,7 +269,9 @@ impl PufDesign {
     ) -> Result<Trajectory, PufError> {
         let y0 = sys.initial_state_for(params);
         let bound = sys.bind_ref(params, scratch);
-        Ok(Rk4 { dt: 5e-11 }.integrate_with(&bound, 0.0, &y0, self.window_end * 1.05, 4, ws)?)
+        let mut rec = Strided::every(4);
+        Rk4 { dt: 5e-11 }.solve(&bound, 0.0, &y0, self.window_end * 1.05, &mut rec, ws)?;
+        Ok(rec.into_trajectory())
     }
 
     /// Extract a response from an already-compiled (per-challenge) system —

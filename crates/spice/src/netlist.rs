@@ -11,7 +11,7 @@
 //! linear circuits.
 
 use crate::linalg::{Lu, Matrix, SingularMatrix};
-use ark_expr::Tape;
+use ark_expr::{eval, Expr, MapContext, ProgramBuilder, SlotResolver, TapeError};
 use ark_ode::Trajectory;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -20,35 +20,44 @@ use std::fmt;
 /// `(node, waveform)` current sources.
 type AssembledSystem = (Vec<f64>, Matrix, Vec<(usize, Waveform)>);
 
-/// A time-dependent source waveform, compiled to a closed tape over `time`.
+/// A time-dependent source waveform: a closed expression over `time`,
+/// evaluated by the reference evaluator ([`ark_expr::eval()`]).
 #[derive(Debug, Clone)]
 pub struct Waveform {
-    tape: Tape,
+    expr: Expr,
 }
 
 impl Waveform {
     /// A constant current.
     pub fn constant(amp: f64) -> Self {
         Waveform {
-            tape: Tape::constant(amp),
+            expr: Expr::Const(amp),
         }
     }
 
-    /// Compile an expression over `time` (no other free variables).
+    /// Wrap an expression over `time` (no other free variables), checked
+    /// by the same lowering the compiler applies.
     ///
     /// # Errors
     ///
-    /// Returns the tape error for expressions with unresolved references.
-    pub fn from_expr(expr: &ark_expr::Expr) -> Result<Self, ark_expr::TapeError> {
-        Ok(Waveform {
-            tape: Tape::compile(expr, &|_| None)?,
-        })
+    /// Returns the lowering error for expressions with unresolved
+    /// references or unsupported calls.
+    pub fn from_expr(expr: &Expr) -> Result<Self, TapeError> {
+        ProgramBuilder::new().add_expr(expr, &SlotResolver(|_: &str| None))?;
+        Ok(Waveform { expr: expr.clone() })
+    }
+
+    /// This waveform scaled by a constant: `amp · w(t)`.
+    pub(crate) fn scaled(&self, amp: f64) -> Self {
+        Waveform {
+            expr: Expr::constant(amp).mul(self.expr.clone()),
+        }
     }
 
     /// Evaluate at time `t`.
     pub fn at(&self, t: f64) -> f64 {
-        let mut regs = self.tape.new_registers();
-        self.tape.eval(&[], t, &mut regs)
+        eval(&self.expr, &MapContext::new().at_time(t))
+            .expect("closed over `time`, checked by Waveform::from_expr")
     }
 }
 

@@ -6,8 +6,8 @@
 //! plus, when the node carries a loss self edge, a grounded `Gint`
 //! conductance); every coupling edge becomes the pair of transconductors
 //! `Gm1`/`Gm2` (with the `Em` edge type's sampled `ws`/`wt` gains); input
-//! nodes become current sources with their waveform lambdas compiled to
-//! closed-form tapes.
+//! nodes become current sources with their waveform lambdas applied to
+//! `time` as closed-form expressions.
 
 use crate::netlist::{Element, Netlist, Waveform};
 use ark_core::{Graph, Language, Value};
@@ -187,14 +187,14 @@ pub fn synthesize(lang: &Language, graph: &Graph) -> Result<Netlist, SynthError>
                 // wt·(fn − g·v_t): scaled source + source conductance.
                 nl.add(Element::CurrentSource {
                     node: t,
-                    waveform: scale(&w, wt, graph, &src.name)?,
+                    waveform: w.scaled(wt),
                 });
                 nl.add(Element::Conductance { node: t, g: wt * g });
             } else {
                 // Into an I node: wt·(fn − v_t)/g on the l-capacitor.
                 nl.add(Element::CurrentSource {
                     node: t,
-                    waveform: scale(&w, wt / g, graph, &src.name)?,
+                    waveform: w.scaled(wt / g),
                 });
                 nl.add(Element::Conductance { node: t, g: wt / g });
             }
@@ -206,14 +206,14 @@ pub fn synthesize(lang: &Language, graph: &Graph) -> Result<Netlist, SynthError>
                 // wt·(fn − v_t)/r.
                 nl.add(Element::CurrentSource {
                     node: t,
-                    waveform: scale(&w, wt / r, graph, &src.name)?,
+                    waveform: w.scaled(wt / r),
                 });
                 nl.add(Element::Conductance { node: t, g: wt / r });
             } else {
                 // wt·(fn − r·v_t).
                 nl.add(Element::CurrentSource {
                     node: t,
-                    waveform: scale(&w, wt, graph, &src.name)?,
+                    waveform: w.scaled(wt),
                 });
                 nl.add(Element::Conductance { node: t, g: wt * r });
             }
@@ -225,22 +225,6 @@ pub fn synthesize(lang: &Language, graph: &Graph) -> Result<Netlist, SynthError>
         }
     }
     Ok(nl)
-}
-
-/// Scale a waveform by a constant by recompiling `amp * fn(time)`.
-fn scale(_w: &Waveform, amp: f64, graph: &Graph, entity: &str) -> Result<Waveform, SynthError> {
-    let lam = graph
-        .attr_value(entity, "fn")
-        .and_then(Value::as_lambda)
-        .ok_or_else(|| SynthError::BadAttr {
-            entity: entity.into(),
-            attr: "fn".into(),
-        })?;
-    let body = lam
-        .apply(&[Expr::Time])
-        .ok_or_else(|| SynthError::BadWaveform("waveform lambda must take one argument".into()))?;
-    Waveform::from_expr(&Expr::constant(amp).mul(body))
-        .map_err(|e| SynthError::BadWaveform(e.to_string()))
 }
 
 #[cfg(test)]
@@ -259,6 +243,62 @@ mod tests {
         let card = nl.to_spice();
         assert!(card.contains("IN_V"));
         assert!(card.contains("PULSE"));
+    }
+
+    /// One current source `src` (waveform lambda `fn_src`) feeding one V
+    /// node.
+    fn source_graph(lang: &Language, fn_src: &str) -> Graph {
+        use ark_core::func::GraphBuilder;
+        let mut b = GraphBuilder::new(lang, 0);
+        b.node("src", "InpI").unwrap();
+        b.set_attr("src", "fn", ark_expr::parse_lambda(fn_src).unwrap())
+            .unwrap();
+        b.set_attr("src", "g", 1.0).unwrap();
+        b.node("v", "V").unwrap();
+        b.set_attr("v", "c", 1e-9).unwrap();
+        b.set_attr("v", "g", 0.0).unwrap();
+        b.edge("e", "E", "src", "v").unwrap();
+        b.finish().unwrap()
+    }
+
+    /// Waveform lambdas are checked when the netlist is synthesized, not
+    /// when a transient first evaluates them.
+    #[test]
+    fn bad_waveform_lambdas_fail_at_synthesis() {
+        let lang = tln_language();
+        assert!(synthesize(&lang, &source_graph(&lang, "lambd(t): pulse(t, 0, 2e-8)")).is_ok());
+        for fn_src in [
+            "lambd(t): var(x) * t",
+            "lambd(t): t + u",
+            "lambd(t): mystery(t)",
+        ] {
+            let g = source_graph(&lang, fn_src);
+            assert!(
+                matches!(synthesize(&lang, &g), Err(SynthError::BadWaveform(_))),
+                "{fn_src}"
+            );
+        }
+    }
+
+    #[test]
+    fn scaled_source_is_bit_identical_to_scaling_the_samples() {
+        let lang = tln_language();
+        let g = source_graph(
+            &lang,
+            "lambd(t): smoothstep(t, 1e-8, 3e-9) * 0.7 + pulse(t, 0, 2e-8)",
+        );
+        let w = waveform(&g, "src").unwrap();
+        for amp in [1.0, 0.3, 1.0 / 7.0, -2.5e-3] {
+            let scaled = w.scaled(amp);
+            for k in 0..50 {
+                let t = k as f64 * 7.3e-10;
+                assert_eq!(
+                    scaled.at(t).to_bits(),
+                    (amp * w.at(t)).to_bits(),
+                    "amp {amp} t {t}"
+                );
+            }
+        }
     }
 
     #[test]

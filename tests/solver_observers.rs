@@ -3,8 +3,8 @@
 //! exactly. The reference implementations below are verbatim copies of the
 //! historical hand-rolled loops (Euler, RK4, Dormand–Prince with PI
 //! control); the proptests pin the `DenseRecorder`/`Strided` output — and
-//! therefore the `integrate`/`integrate_with` wrappers — to them bit for
-//! bit on randomized systems.
+//! therefore the allocating `integrate` methods — to them bit for bit on
+//! randomized systems.
 
 use ark::ode::{
     DormandPrince, Euler, FinalState, FnSystem, OdeWorkspace, Probe, Rk4, SolveStats, Solver,
