@@ -17,7 +17,7 @@
 //! and `ARK_RHS_STREAM_N` the streaming-reduction instance count.
 
 use ark_core::{Backend, CompiledSystem};
-use ark_ode::{DormandPrince, Rk4, TrBdf2};
+use ark_ode::{DormandPrince, LanedOdeSystem, Rk4, TrBdf2};
 use ark_paradigms::cnn::{
     build_cnn, build_cnn_parametric, cnn_language, hw_cnn_language, run_cnn, run_cnn_ensemble,
     run_cnn_ensemble_scalar_readout, NonIdeality, EDGE_TEMPLATE,
@@ -64,6 +64,36 @@ fn time_rhs(sys: &CompiledSystem, evals: usize) -> f64 {
     start.elapsed().as_nanos() as f64 / evals as f64
 }
 
+/// Mean ns per instance RHS on the 4-lane interpreter: `evals` laned calls
+/// (each advancing four instances with distinct states) over `4 * evals`.
+/// Same cycling time grid as [`time_rhs`], so the two are comparable.
+fn time_rhs_laned4(sys: &CompiledSystem, evals: usize) -> f64 {
+    const L: usize = 4;
+    let n = sys.num_states();
+    let y0 = sys.initial_state();
+    let mut y: Vec<[f64; L]> = y0
+        .iter()
+        .map(|&v| std::array::from_fn(|l| v + l as f64 * 1e-3))
+        .collect();
+    let mut dydt = vec![[0.0; L]; n];
+    let mut scratch = ark_expr::LaneScratch::<L>::default();
+    let no_params: [&[f64]; L] = [&[]; L];
+    let bound = sys.bind_lanes(&no_params, &mut scratch);
+    for k in 0..32 {
+        bound.rhs(k as f64 * 1e-3, &y, &mut dydt);
+    }
+    let start = Instant::now();
+    for k in 0..evals {
+        let t = (k % 1024) as f64 * 1e-3;
+        bound.rhs(t, &y, &mut dydt);
+        for (v, d) in y[k % n].iter_mut().zip(dydt[k % n]) {
+            *v += d * 1e-6;
+        }
+    }
+    black_box(&dydt);
+    start.elapsed().as_nanos() as f64 / (evals * L) as f64
+}
+
 struct Workload {
     name: &'static str,
     sys: CompiledSystem,
@@ -78,6 +108,9 @@ struct WorkloadReport {
     fused_regs: usize,
     fused_consts: usize,
     fused_ns: f64,
+    /// Per-instance ns of the same program on the 4-lane interpreter
+    /// (CNN only: the path the Fig. 11 yield sweep runs).
+    laned4_interp_ns: Option<f64>,
     /// Instruction count of the natively-compiled program — must equal
     /// `fused_instrs` (codegen lowers the same stream); `bench_check`
     /// enforces the parity.
@@ -734,13 +767,16 @@ fn write_json(
     let _ = writeln!(j, "  \"workloads\": {{");
     for (i, r) in reports.iter().enumerate() {
         let comma = if i + 1 < reports.len() { "," } else { "" };
+        let laned = r.laned4_interp_ns.map_or(String::new(), |ns| {
+            format!("\n      \"laned4_interp_ns_per_rhs\": {ns:.1},")
+        });
         let _ = writeln!(
             j,
             "    \"{}\": {{\n      \"states\": {},\n      \"algebraics\": {},\n      \
              \"fused_instructions_per_rhs\": {},\n      \
              \"fused_prologue_instructions\": {},\n      \
              \"fused_registers\": {},\n      \"fused_pooled_consts\": {},\n      \
-             \"fused_ns_per_rhs\": {:.1},\n      \
+             \"fused_ns_per_rhs\": {:.1},{}\n      \
              \"native_instructions_per_rhs\": {},\n      \
              \"native_ns_per_rhs\": {:.1},\n      \"native_speedup\": {:.2},\n      \
              \"native_speedup_x1000\": {},\n      \"native_active\": {}\n    }}{}",
@@ -752,6 +788,7 @@ fn write_json(
             r.fused_regs,
             r.fused_consts,
             r.fused_ns,
+            laned,
             r.native_instrs,
             r.native_ns,
             r.fused_ns / r.native_ns.max(1e-9),
@@ -955,6 +992,7 @@ fn bench_rhs(c: &mut Criterion) {
     let mut reports = Vec::new();
     for (w, native) in workloads().into_iter().zip(&native_systems) {
         let fused_ns = time_rhs(&w.sys, evals);
+        let laned4_interp_ns = (w.name == "cnn_fig11").then(|| time_rhs_laned4(&w.sys, evals));
         let native_ns = time_rhs(native, evals);
         println!(
             "{}: {} fused instrs ({} prologue), \
@@ -970,6 +1008,9 @@ fn bench_rhs(c: &mut Criterion) {
                 "interpreter fallback"
             },
         );
+        if let Some(ns) = laned4_interp_ns {
+            println!("{}: {ns:.0} ns per rhs on the 4-lane interpreter", w.name);
+        }
         reports.push(WorkloadReport {
             name: w.name,
             states: w.sys.num_states(),
@@ -979,6 +1020,7 @@ fn bench_rhs(c: &mut Criterion) {
             fused_regs: w.sys.rhs_register_count(),
             fused_consts: w.sys.rhs_const_count(),
             fused_ns,
+            laned4_interp_ns,
             native_instrs: native.rhs_instruction_count(),
             native_ns,
             native_active: native.native_active(),

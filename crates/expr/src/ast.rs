@@ -588,8 +588,19 @@ impl fmt::Display for Expr {
                 fmt_paren(a, f)
             }
             Expr::Unary(op, a) => write!(f, "{}({a})", op.name()),
+            // `min`/`max` have no infix syntax: print them as the calls the
+            // parser reads back.
+            Expr::Binary(op @ (BinaryOp::Min | BinaryOp::Max), a, b) => {
+                write!(f, "{}({a}, {b})", op.name())
+            }
             Expr::Binary(op, a, b) => {
-                fmt_paren(a, f)?;
+                match **a {
+                    // `-2 ^ x` would read back as `-(2 ^ x)`.
+                    Expr::Const(x) if *op == BinaryOp::Pow && x.is_sign_negative() => {
+                        write!(f, "({x})")?
+                    }
+                    _ => fmt_paren(a, f)?,
+                }
                 write!(f, " {} ", op.name())?;
                 fmt_paren(b, f)
             }

@@ -290,9 +290,14 @@ fn bool_primary(cur: &mut Cursor<'_>) -> Result<BoolExpr, ParseError> {
         cur.next();
         if let Ok(inner) = bool_expr(cur) {
             if cur.eat(&Tok::RParen) {
-                // Reject interpretations like `(x) < y` where the paren was
-                // actually a math subterm.
-                if cmp_op(&cur.peek().tok).is_none() {
+                // Reject interpretations like `(x) < y` or `(x) / 2 < y`
+                // where the paren was actually a math subterm.
+                let tok = &cur.peek().tok;
+                let continues_math = matches!(
+                    tok,
+                    Tok::Plus | Tok::Minus | Tok::Star | Tok::Slash | Tok::Caret
+                );
+                if cmp_op(tok).is_none() && !continues_math {
                     return Ok(inner);
                 }
             }
@@ -415,6 +420,29 @@ mod tests {
         // A parenthesized *math* expr compared afterwards must also work.
         let b = parse_bool_expr("(1 + 2) < 4").unwrap();
         assert!(eval_bool(&b, &MapContext::new()).unwrap());
+        // ... also when the parenthesized term continues with arithmetic.
+        let b = parse_bool_expr("not ((3) / 2 < 1)").unwrap();
+        assert!(eval_bool(&b, &MapContext::new()).unwrap());
+        let b = parse_bool_expr("(2) ^ 2 - 1 == 3").unwrap();
+        assert!(eval_bool(&b, &MapContext::new()).unwrap());
+    }
+
+    #[test]
+    fn min_max_print_as_calls() {
+        let e = Expr::var("x").binary(crate::ast::BinaryOp::Min, Expr::Const(2.0));
+        let e = e.binary(crate::ast::BinaryOp::Max, Expr::Const(-1.0));
+        assert_eq!(e.to_string(), "max(min(var(x), 2), -1)");
+        let reparsed = parse_expr(&e.to_string()).unwrap();
+        let ctx = MapContext::new().with_var("x", 5.0);
+        assert_eq!(eval(&reparsed, &ctx).unwrap(), 2.0);
+    }
+
+    #[test]
+    fn negative_power_base_prints_parenthesized() {
+        let e = Expr::Const(-2.0).binary(crate::ast::BinaryOp::Pow, Expr::Const(2.0));
+        assert_eq!(e.to_string(), "(-2) ^ 2");
+        let reparsed = parse_expr(&e.to_string()).unwrap();
+        assert_eq!(eval(&reparsed, &MapContext::new()).unwrap(), 4.0);
     }
 
     #[test]

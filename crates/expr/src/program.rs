@@ -990,11 +990,7 @@ impl SystemProgram {
             // Parameter-dependent, time-free values: once per instance.
             match native {
                 Some(k) => k.run_pp(regs, slots, time),
-                None => {
-                    for instr in &self.pprologue {
-                        regs[instr.dest as usize] = exec(&instr.op, regs, slots, time);
-                    }
-                }
+                None => run(&self.pprologue, regs, slots, time),
             }
             scratch.pprologue_run = true;
             scratch.has_time = false;
@@ -1014,11 +1010,7 @@ impl SystemProgram {
         } else if !(scratch.has_time && scratch.last_time == time.to_bits()) {
             match native {
                 Some(k) => k.run_tp(regs, slots, time),
-                None => {
-                    for instr in &self.tprologue {
-                        regs[instr.dest as usize] = exec(&instr.op, regs, slots, time);
-                    }
-                }
+                None => run(&self.tprologue, regs, slots, time),
             }
             scratch.last_time = time.to_bits();
             scratch.has_time = true;
@@ -1027,11 +1019,7 @@ impl SystemProgram {
         let regs = &mut scratch.regs[..];
         match native {
             Some(k) => k.run_body(regs, slots, time),
-            None => {
-                for instr in &self.body {
-                    regs[instr.dest as usize] = exec(&instr.op, regs, slots, time);
-                }
-            }
+            None => run(&self.body, regs, slots, time),
         }
         for (o, &r) in out.iter_mut().zip(&self.outputs) {
             *o = regs[r as usize];
@@ -1195,11 +1183,7 @@ impl SystemProgram {
             // Parameter-dependent, time-free values: once per lane group.
             match native {
                 Some(k) => k.run_pp_lanes::<L>(regs, slots, time),
-                None => {
-                    for instr in &self.pprologue {
-                        regs[instr.dest as usize] = exec_lanes(&instr.op, regs, slots, time);
-                    }
-                }
+                None => run_lanes(&self.pprologue, regs, slots, time),
             }
             scratch.pprologue_run = true;
             scratch.has_time = false;
@@ -1220,11 +1204,7 @@ impl SystemProgram {
             // Static, time-dependent values: one pass serves all lanes.
             match native {
                 Some(k) => k.run_tp_lanes::<L>(regs, slots, time),
-                None => {
-                    for instr in &self.tprologue {
-                        regs[instr.dest as usize] = exec_lanes(&instr.op, regs, slots, time);
-                    }
-                }
+                None => run_lanes(&self.tprologue, regs, slots, time),
             }
             scratch.last_time = time.to_bits();
             scratch.has_time = true;
@@ -1233,11 +1213,7 @@ impl SystemProgram {
         let regs = &mut scratch.regs[..];
         match native {
             Some(k) => k.run_body_lanes::<L>(regs, slots, time),
-            None => {
-                for instr in &self.body {
-                    regs[instr.dest as usize] = exec_lanes(&instr.op, regs, slots, time);
-                }
-            }
+            None => run_lanes(&self.body, regs, slots, time),
         }
         for (o, &r) in out.iter_mut().zip(&self.outputs) {
             *o = regs[r as usize];
@@ -1245,11 +1221,33 @@ impl SystemProgram {
     }
 }
 
+/// Interpret one segment (a prologue tier or the body) in order. `exec` is
+/// inlined, so the segment compiles to a single dispatch loop instead of a
+/// call per instruction.
+fn run(instrs: &[PInstr], regs: &mut [f64], slots: &[f64], time: f64) {
+    for instr in instrs {
+        regs[instr.dest as usize] = exec(&instr.op, regs, slots, time);
+    }
+}
+
+/// Laned twin of [`run`]: one dispatch loop per segment, with the lane
+/// arithmetic of [`exec_lanes`] inlined into it.
+fn run_lanes<const L: usize>(
+    instrs: &[PInstr],
+    regs: &mut [[f64; L]],
+    slots: &[[f64; L]],
+    time: f64,
+) {
+    for instr in instrs {
+        regs[instr.dest as usize] = exec_lanes(&instr.op, regs, slots, time);
+    }
+}
+
 /// Laned twin of [`exec`]: the same operation applied elementwise across
 /// `L` lanes. Per lane, the arithmetic (and its order) is exactly the
 /// scalar interpreter's, so results are bit-identical; the `[f64; L]` loops
 /// are what the optimizer turns into SIMD.
-#[inline]
+#[inline(always)]
 fn exec_lanes<const L: usize>(
     op: &POp,
     regs: &[[f64; L]],
@@ -1315,7 +1313,7 @@ fn exec_lanes<const L: usize>(
     }
 }
 
-#[inline]
+#[inline(always)]
 fn exec(op: &POp, regs: &[f64], slots: &[f64], time: f64) -> f64 {
     match *op {
         POp::Time => time,
@@ -1690,34 +1688,155 @@ mod proptests {
     use crate::eval::{eval, MapContext};
     use proptest::prelude::*;
 
-    /// Strategy for random expressions over vars x (slot 0) and y (slot 1).
+    /// Strategy for random expressions over vars x (slot 0), y (slot 1)
+    /// and z (slot 2). `z` only ever appears negated, so its load is
+    /// single-use and fuses into `NegLoad`; the branches cover every
+    /// opcode family the builder emits: unary and binary arithmetic
+    /// (which fuse into the multiply-add family), `Select` over the
+    /// comparison and boolean opcodes, and `Call3`.
     fn arb_expr() -> impl Strategy<Value = Expr> {
         let leaf = prop_oneof![
             (-10.0..10.0f64).prop_map(Expr::Const),
             Just(Expr::Time),
             Just(Expr::var("x")),
             Just(Expr::var("y")),
+            Just(Expr::var("z").neg()),
         ];
         leaf.prop_recursive(4, 64, 3, |inner| {
+            let unary = prop_oneof![
+                Just(UnaryOp::Neg),
+                Just(UnaryOp::Sin),
+                Just(UnaryOp::Tanh),
+                Just(UnaryOp::Sat),
+                Just(UnaryOp::Abs),
+                Just(UnaryOp::Exp),
+                Just(UnaryOp::Sgn),
+                Just(UnaryOp::SatNi),
+            ];
+            let binary = prop_oneof![
+                Just(BinaryOp::Add),
+                Just(BinaryOp::Sub),
+                Just(BinaryOp::Mul),
+                Just(BinaryOp::Div),
+                Just(BinaryOp::Min),
+                Just(BinaryOp::Max),
+                Just(BinaryOp::Pow),
+            ];
+            let cmp = (
+                prop_oneof![
+                    Just(CmpOp::Lt),
+                    Just(CmpOp::Le),
+                    Just(CmpOp::Gt),
+                    Just(CmpOp::Ge),
+                    Just(CmpOp::Eq),
+                    Just(CmpOp::Ne),
+                ],
+                inner.clone(),
+                inner.clone(),
+            )
+                .prop_map(|(op, a, b)| BoolExpr::Cmp(op, Box::new(a), Box::new(b)))
+                .boxed();
+            let cond = prop_oneof![
+                cmp.clone(),
+                (cmp.clone(), cmp.clone())
+                    .prop_map(|(a, b)| BoolExpr::And(Box::new(a), Box::new(b))),
+                (cmp.clone(), cmp.clone())
+                    .prop_map(|(a, b)| BoolExpr::Or(Box::new(a), Box::new(b))),
+                cmp.prop_map(|a| BoolExpr::Not(Box::new(a))),
+            ];
             prop_oneof![
-                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.add(b)),
-                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.sub(b)),
-                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.mul(b)),
-                inner.clone().prop_map(|a| a.neg()),
-                inner.clone().prop_map(|a| a.sin()),
-                inner
-                    .clone()
-                    .prop_map(|a| a.unary(crate::ast::UnaryOp::Tanh)),
-                inner.prop_map(|a| a.unary(crate::ast::UnaryOp::Sat)),
+                (unary, inner.clone()).prop_map(|(op, a)| a.unary(op)),
+                (binary, inner.clone(), inner.clone()).prop_map(|(op, a, b)| a.binary(op, b)),
+                (cond, inner.clone(), inner.clone()).prop_map(|(c, t, e)| Expr::If(
+                    Box::new(c),
+                    Box::new(t),
+                    Box::new(e)
+                )),
+                (inner.clone(), inner.clone(), inner)
+                    .prop_map(|(a, b, c)| Expr::Call("pulse".into(), vec![a, b, c])),
             ]
         })
     }
 
+    /// The reference evaluation context for inputs `[x, y, z]` at time `t`.
+    fn context(v: [f64; 3], t: f64) -> MapContext {
+        MapContext::new()
+            .at_time(t)
+            .with_var("x", v[0])
+            .with_var("y", v[1])
+            .with_var("z", v[2])
+    }
+
+    /// Lower `exprs` into one program with an output per expression.
+    fn program(exprs: &[Expr]) -> SystemProgram {
+        let resolve = SlotResolver(|n: &str| ["x", "y", "z"].iter().position(|&m| m == n));
+        let mut pb = ProgramBuilder::new();
+        let outs: Vec<ValueId> = exprs
+            .iter()
+            .map(|e| pb.add_expr(e, &resolve).unwrap())
+            .collect();
+        pb.finish(&outs, 0)
+    }
+
+    /// Five outputs over `a`, `b`, `c`: two share the product `a*b`, so
+    /// hash-consing merges it across outputs, while the single-use `b*c`
+    /// fuses into a multiply-add.
+    fn outputs(a: Expr, b: Expr, c: Expr) -> [Expr; 5] {
+        [
+            a.clone().mul(b.clone()).add(c.clone()),
+            c.clone().sub(a.clone().mul(b.clone())),
+            b.clone().mul(c).add(a.clone()),
+            a,
+            b,
+        ]
+    }
+
+    /// Bit equality with NaN matching NaN (payloads may differ).
+    fn same(want: f64, got: f64) -> bool {
+        want.to_bits() == got.to_bits() || (want.is_nan() && got.is_nan())
+    }
+
+    /// Agreement up to a relative 1e-12 for finite values; infinities must
+    /// match exactly and NaN matches only NaN.
+    fn close(want: f64, got: f64) -> bool {
+        if want.is_finite() {
+            (want - got).abs() <= 1e-12 * want.abs().max(1.0)
+        } else {
+            same(want, got)
+        }
+    }
+
+    /// Run `prog` on the `L`-lane interpreter, lane `l` reading input
+    /// vector `inputs[l]`, at each of `times` in turn through one scratch
+    /// (so the time-prologue cache both hits and invalidates), and check
+    /// every lane against a scalar evaluation of that lane alone.
+    fn check_lanes<const L: usize>(prog: &SystemProgram, inputs: &[[f64; 3]], times: [f64; 3]) {
+        let slots: Vec<[f64; L]> = (0..3)
+            .map(|s| std::array::from_fn(|l| inputs[l][s]))
+            .collect();
+        let mut ls = LaneScratch::<L>::default();
+        let mut scalar = ProgScratch::default();
+        let n_out = prog.output_count();
+        let mut got = vec![[0.0; L]; n_out];
+        let mut want = vec![0.0; n_out];
+        for t in times {
+            prog.eval_lanes_bound(&mut ls, &slots, t, &mut got);
+            for (l, input) in inputs.iter().enumerate().take(L) {
+                prog.eval_into(&mut scalar, input, t, &[], &mut want);
+                for (k, (w, g)) in want.iter().zip(&got).enumerate() {
+                    assert!(
+                        same(*w, g[l]),
+                        "L={L} lane {l} output {k} t={t}: {} vs scalar {w}",
+                        g[l]
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         /// The fused program and the tree-walking evaluator agree bit for
-        /// bit (NaN matching NaN). Two outputs share the product `a*b`, so
-        /// hash-consing merges it across outputs, while the single-use
-        /// `b*c` fuses into a multiply-add.
+        /// bit (NaN matching NaN).
         #[test]
         fn program_bit_identical_to_eval(
             a in arb_expr(),
@@ -1725,68 +1844,72 @@ mod proptests {
             c in arb_expr(),
             x in -5.0..5.0f64,
             y in -5.0..5.0f64,
+            z in -5.0..5.0f64,
             t in 0.0..10.0f64,
         ) {
-            let exprs = [
-                a.clone().mul(b.clone()).add(c.clone()),
-                c.clone().sub(a.clone().mul(b.clone())),
-                b.clone().mul(c).add(a.clone()),
-                a,
-                b,
-            ];
-            let resolve = SlotResolver(|n: &str| match n {
-                "x" => Some(0),
-                "y" => Some(1),
-                _ => None,
-            });
-            let mut pb = ProgramBuilder::new();
-            let outs: Vec<ValueId> = exprs
-                .iter()
-                .map(|e| pb.add_expr(e, &resolve).unwrap())
-                .collect();
-            let prog = pb.finish(&outs, 0);
+            let exprs = outputs(a, b, c);
+            let prog = program(&exprs);
             let mut got = [0.0; 5];
-            prog.eval_into(&mut ProgScratch::default(), &[x, y], t, &[], &mut got);
-            let ctx = MapContext::new().at_time(t).with_var("x", x).with_var("y", y);
+            prog.eval_into(&mut ProgScratch::default(), &[x, y, z], t, &[], &mut got);
+            let ctx = context([x, y, z], t);
             for (e, g) in exprs.iter().zip(got) {
                 let want = eval(e, &ctx).unwrap();
-                if want.is_nan() {
-                    prop_assert!(g.is_nan(), "expr {} gave {} vs NaN", e, g);
-                } else {
-                    prop_assert_eq!(want.to_bits(), g.to_bits(),
-                        "expr {} gave {} vs {}", e, g, want);
-                }
+                prop_assert!(same(want, g), "expr {} gave {} vs {}", e, g, want);
             }
+        }
+
+        /// The laned interpreter at 4 and 8 lanes, with different inputs in
+        /// every lane, matches the scalar interpreter lane by lane, bit for
+        /// bit (NaN matching NaN).
+        #[test]
+        fn laned_program_bit_identical_to_scalar(
+            a in arb_expr(),
+            b in arb_expr(),
+            c in arb_expr(),
+            inputs in proptest::collection::vec(
+                (-5.0..5.0f64, -5.0..5.0f64, -5.0..5.0f64).prop_map(|(x, y, z)| [x, y, z]),
+                8,
+            ),
+            t0 in 0.0..10.0f64,
+            t1 in 0.0..10.0f64,
+        ) {
+            let prog = program(&outputs(a, b, c));
+            check_lanes::<4>(&prog, &inputs, [t0, t0, t1]);
+            check_lanes::<8>(&prog, &inputs, [t0, t0, t1]);
         }
 
         /// Simplification preserves semantics.
         #[test]
-        fn simplify_preserves_semantics(e in arb_expr(), x in -5.0..5.0f64, y in -5.0..5.0f64, t in 0.0..10.0f64) {
-            let ctx = MapContext::new().at_time(t).with_var("x", x).with_var("y", y);
+        fn simplify_preserves_semantics(
+            e in arb_expr(),
+            x in -5.0..5.0f64,
+            y in -5.0..5.0f64,
+            z in -5.0..5.0f64,
+            t in 0.0..10.0f64,
+        ) {
+            let ctx = context([x, y, z], t);
             let reference = eval(&e, &ctx).unwrap();
-            let simplified = eval(&e.simplify(), &ctx).unwrap();
-            if reference.is_nan() {
-                prop_assert!(simplified.is_nan());
-            } else {
-                let scale = reference.abs().max(1.0);
-                prop_assert!((reference - simplified).abs() <= 1e-12 * scale);
-            }
+            let s = e.simplify();
+            let simplified = eval(&s, &ctx).unwrap();
+            prop_assert!(close(reference, simplified),
+                "{} = {} but simplified {} = {}", e, reference, s, simplified);
         }
 
         /// Display → parse round-trips semantics for generated expressions.
         #[test]
-        fn display_parse_roundtrip(e in arb_expr(), x in -5.0..5.0f64, y in -5.0..5.0f64) {
+        fn display_parse_roundtrip(
+            e in arb_expr(),
+            x in -5.0..5.0f64,
+            y in -5.0..5.0f64,
+            z in -5.0..5.0f64,
+        ) {
             let printed = e.to_string();
-            let reparsed = crate::parse::parse_expr(&printed).unwrap();
-            let ctx = MapContext::new().with_var("x", x).with_var("y", y);
+            let reparsed = crate::parse::parse_expr(&printed)
+                .unwrap_or_else(|err| panic!("printed: {printed}: {err}"));
+            let ctx = context([x, y, z], 0.0);
             let a = eval(&e, &ctx).unwrap();
             let b = eval(&reparsed, &ctx).unwrap();
-            if a.is_nan() {
-                prop_assert!(b.is_nan());
-            } else {
-                let scale = a.abs().max(1.0);
-                prop_assert!((a - b).abs() <= 1e-12 * scale, "printed: {}", printed);
-            }
+            prop_assert!(close(a, b), "printed: {} gave {} vs {}", printed, b, a);
         }
     }
 }
