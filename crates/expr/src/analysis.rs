@@ -1019,7 +1019,7 @@ pub fn determinism_lint(prog: &SystemProgram) -> Vec<String> {
 /// Operand *reads* also spell `*r.add(`, so only lines that *start* with
 /// the store (the destination is always the first token of a statement)
 /// are counted.
-fn segment_store_count(source: &str, name: &str) -> Option<usize> {
+pub(crate) fn segment_store_count(source: &str, name: &str) -> Option<usize> {
     let sig = format!("fn {name}(");
     let start = source.find(&sig)?;
     let body = &source[start..];

@@ -120,8 +120,8 @@ impl BinaryOp {
             BinaryOp::Mul => a * b,
             BinaryOp::Div => a / b,
             BinaryOp::Pow => a.powf(b),
-            BinaryOp::Min => a.min(b),
-            BinaryOp::Max => a.max(b),
+            BinaryOp::Min => crate::builtins::min(a, b),
+            BinaryOp::Max => crate::builtins::max(a, b),
         }
     }
 

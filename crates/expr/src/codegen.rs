@@ -6,25 +6,36 @@
 //! amortize: one design is replayed across ~10⁵ fabricated instances and
 //! millions of RHS evaluations, so a one-time `rustc` invocation trades for
 //! the interpreter dispatch on every one of them. On a 2-core x86-64 host
-//! the 5,526-line kernel of the parametric Figure 11 CNN takes 13–20 s of
-//! `rustc` and yields a 130 KB `cdylib`. The interpreter it replaces costs
-//! about 3.8 ns per instruction on one instance, and about 1 ns per
-//! instruction per instance on four lanes (the CNN RHS in `BENCH_rhs.json`:
-//! 1623 and 415 ns per RHS over 430 instructions). The lowering is
-//! deliberately boring: each program segment (parameter prologue, time
+//! (AVX-512) the 5,526-line kernel of the parametric Figure 11 CNN takes
+//! about 8.5 s of `rustc` (median of 3 standalone builds on an idle host;
+//! load from other tenants adds several seconds) and yields a 78 KB
+//! `cdylib`. The interpreter it replaces costs about 3.8 ns per
+//! instruction on one instance, and about 1 ns per instruction per
+//! instance on four lanes (the CNN RHS in `BENCH_rhs.json`). The lowering
+//! is deliberately boring: each program segment (parameter prologue, time
 //! prologue, body) becomes one straight-line
 //! `unsafe extern "C" fn(regs, slots, time)` whose statements mirror the
 //! interpreter's opcode execution *exactly* — same operations, same order,
-//! no FMA contraction, separate multiply-then-add — so native results are
-//! **bit-identical** to interpreted ones. Laned variants (`[f64; 4]` /
-//! `[f64; 8]` register files in the same struct-of-arrays layout as
-//! [`LaneScratch`](crate::LaneScratch)) are emitted alongside.
+//! no FMA contraction, separate multiply-then-add, `min`/`max` with the
+//! signed-zero tie pinned ([`builtins::min`](crate::builtins::min)) — so
+//! native results are **bit-identical** to interpreted ones. Laned
+//! variants (`[f64; 4]` / `[f64; 8]` register files in the same
+//! struct-of-arrays layout as [`LaneScratch`](crate::LaneScratch)) are
+//! emitted alongside, one counted `while l < L` loop per instruction.
+//!
+//! Kernels are built with `rustc --crate-type cdylib -C opt-level=3
+//! -C target-cpu=native -C panic=abort -C strip=symbols -C link-arg=-lm`.
+//! Lower opt-levels are no cheaper: on the CNN kernel `opt-level=1` and
+//! `2` compile in 10.9 and 9.2 s against 8.4 s, and run the 4-lane body
+//! at 300–500 ns per lane against 75–95 ns.
 //!
 //! # Cache layout and concurrency
 //!
-//! Kernels are keyed by a content hash of the generated source plus the
-//! `rustc` version (so toolchain upgrades rebuild). The on-disk cache —
-//! `$ARK_CODEGEN_DIR`, defaulting to `<tmp>/ark-codegen` — holds
+//! Kernels are keyed by a hash of the generated source, the `rustc -vV`
+//! banner, the exact flag list and the host's target features (what
+//! `target-cpu=native` expands to), so a toolchain upgrade, a flag change
+//! or a different CPU sharing one cache directory rebuilds. The on-disk
+//! cache — `$ARK_CODEGEN_DIR`, defaulting to `<tmp>/ark-codegen` — holds
 //! `<hash>.rs` (the generated source, kept for inspection) and `<hash>.so`.
 //! Artifacts are published with a write-to-temp-then-rename so readers never
 //! observe partial files, and concurrent builders (two processes compiling
@@ -252,8 +263,8 @@ fn pop_expr(op: &POp, st: &Style) -> String {
                 BinaryOp::Mul => format!("{a} * {b}"),
                 BinaryOp::Div => format!("{a} / {b}"),
                 BinaryOp::Pow => format!("pow({a}, {b})"),
-                BinaryOp::Min => format!("{a}.min({b})"),
-                BinaryOp::Max => format!("{a}.max({b})"),
+                BinaryOp::Min => format!("ark_min({a}, {b})"),
+                BinaryOp::Max => format!("ark_max({a}, {b})"),
             }
         }
         POp::MulAdd(a, b, c) => format!("{} * {} + {}", r(a), r(b), r(c)),
@@ -311,16 +322,19 @@ fn emit_segment(out: &mut String, name: &str, instrs: &[PInstr], lanes: usize) {
     } else {
         // Elementwise per-lane loop: lane `l` performs exactly the scalar
         // operation sequence on its own values, so per-lane results match
-        // the scalar kernel (and the laned interpreter) bit for bit.
+        // the scalar kernel (and the laned interpreter) bit for bit. A
+        // counted `while` rather than `for l in 0..L`: the iterator form
+        // costs a `&mut Range` borrow and extra MIR blocks per loop, which
+        // made borrow-checking the bulk of a large kernel's compile time.
         for i in instrs {
-            let _ = writeln!(out, "    for l in 0..{lanes}usize {{");
+            let _ = writeln!(out, "    let mut l = 0usize; while l < {lanes} {{");
             let _ = writeln!(
                 out,
                 "        *r.add({} * {lanes} + l) = {};",
                 i.dest,
                 pop_expr(&i.op, &st)
             );
-            let _ = writeln!(out, "    }}");
+            let _ = writeln!(out, "    l += 1; }}");
         }
     }
     let _ = writeln!(out, "}}");
@@ -357,8 +371,10 @@ mod lm {
 #[inline(always)] fn log(x: f64) -> f64 { unsafe { lm::log(x) } }
 #[inline(always)] fn sqrt(x: f64) -> f64 { unsafe { lm::sqrt(x) } }
 #[inline(always)] fn pow(x: f64, y: f64) -> f64 { unsafe { lm::pow(x, y) } }
-// Builtin waveforms, body-for-body copies of ark_expr::builtins (same
-// operations, same order, bit-identical results).
+// Body-for-body copies of ark_expr::builtins (same operations, same order,
+// bit-identical results). min/max pin the signed-zero tie that f64::min/max
+// leave unspecified, so the host-tuned build cannot drift from the
+// interpreter.
 fn ark_pulse(t: f64, t0: f64, width: f64) -> f64 {
     if width <= 0.0 {
         return 0.0;
@@ -376,15 +392,13 @@ fn ark_pulse(t: f64, t0: f64, width: f64) -> f64 {
     }
 }
 fn ark_square_pulse(t: f64, t0: f64, width: f64) -> f64 {
-    if t >= t0 && t < t0 + width {
-        1.0
-    } else {
-        0.0
-    }
+    if t >= t0 && t < t0 + width { 1.0 } else { 0.0 }
 }
 fn ark_smoothstep(t: f64, t0: f64, tau: f64) -> f64 {
     1.0 / (1.0 + exp(-(t - t0) / tau))
 }
+#[inline(always)] fn ark_min(a: f64, b: f64) -> f64 { if a.is_nan() || b < a { b } else { a } }
+#[inline(always)] fn ark_max(a: f64, b: f64) -> f64 { if a.is_nan() || b > a { b } else { a } }
 "#;
 
 /// Lower a program's three instruction segments (plus laned variants) to
@@ -442,9 +456,8 @@ pub(crate) fn emit(prog: &SystemProgram) -> Emitted {
 // Hashing and toolchain discovery
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over the generated source: small, dependency-free, and stable
-/// across processes (the cache key must mean the same thing to every
-/// builder racing on one directory).
+/// FNV-1a: small, dependency-free, and stable across processes (the cache
+/// key must mean the same thing to every builder racing on one directory).
 fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed ^ 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -454,25 +467,83 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// The `rustc` arguments every kernel is built with (output and input
+/// paths follow). `target-cpu=native` keeps bit identity: Rust never
+/// contracts a multiply and an add into an FMA, the math functions are the
+/// process's own `libm` symbols either way, and `min`/`max` are emitted as
+/// `ark_min`/`ark_max` ([`builtins::min`](crate::builtins::min)), because
+/// `f64::max` leaves the signed-zero tie unspecified and the host-tuned
+/// build did return the other zero than the interpreter.
+const RUSTC_FLAGS: [&str; 14] = [
+    "--edition",
+    "2021",
+    "--crate-type",
+    "cdylib",
+    "-C",
+    "opt-level=3",
+    "-C",
+    "target-cpu=native",
+    "-C",
+    "panic=abort",
+    "-C",
+    "strip=symbols",
+    "-C",
+    "link-arg=-lm",
+];
+
+/// The cache key of one kernel: a hash of everything that decides the
+/// bytes of the built library — the `rustc -vV` banner, the exact flag
+/// list, the host's target features (what `target-cpu=native` expands
+/// to) and the generated source. A shared cache directory therefore never
+/// hands a kernel to a toolchain, flag set or CPU it was not built for.
+fn cache_key(banner: &str, flags: &[&str], features: &str, source: &str) -> u64 {
+    // NUL-terminate each part so that no two distinct inputs concatenate
+    // to the same byte stream.
+    std::iter::once(banner)
+        .chain(flags.iter().copied())
+        .chain([features, source])
+        .fold(0, |h, part| fnv1a(fnv1a(h, part.as_bytes()), &[0]))
+}
+
 fn rustc_path() -> String {
     std::env::var("ARK_RUSTC").unwrap_or_else(|_| "rustc".to_string())
 }
 
-/// `rustc --version` output, probed once per process. `None` when no
-/// usable compiler is on `PATH` — the fallback-to-interpreter case.
-fn rustc_version() -> Option<&'static str> {
-    static VERSION: OnceLock<Option<String>> = OnceLock::new();
-    VERSION
+/// What the cache key needs to know about the compiler and the host.
+struct Toolchain {
+    /// `rustc -vV` output: release, commit hash, host triple, LLVM version.
+    banner: String,
+    /// The `target_feature` lines of `rustc --print cfg -C
+    /// target-cpu=native`, one per line.
+    features: String,
+}
+
+/// The toolchain, probed once per process (two `rustc` runs, about
+/// 30 ms). `None` when no usable compiler is on `PATH` — the
+/// fallback-to-interpreter case.
+fn toolchain() -> Option<&'static Toolchain> {
+    static TOOLCHAIN: OnceLock<Option<Toolchain>> = OnceLock::new();
+    TOOLCHAIN
         .get_or_init(|| {
-            let out = std::process::Command::new(rustc_path())
-                .arg("--version")
-                .output()
-                .ok()?;
-            out.status
-                .success()
-                .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+            let stdout = |args: &[&str]| {
+                let out = std::process::Command::new(rustc_path())
+                    .args(args)
+                    .output()
+                    .ok()?;
+                out.status
+                    .success()
+                    .then(|| String::from_utf8_lossy(&out.stdout).into_owned())
+            };
+            let banner = stdout(&["-vV"])?.trim().to_string();
+            let cfg = stdout(&["--print", "cfg", "-C", "target-cpu=native"])?;
+            let features = cfg
+                .lines()
+                .filter(|l| l.starts_with("target_feature="))
+                .collect::<Vec<_>>()
+                .join("\n");
+            Some(Toolchain { banner, features })
         })
-        .as_deref()
+        .as_ref()
 }
 
 // ---------------------------------------------------------------------------
@@ -737,11 +808,10 @@ impl CodegenCache {
                 "native codegen requires a unix dynamic loader".into(),
             ));
         }
-        let ver = rustc_version().ok_or_else(|| {
-            CodegenError::Toolchain(format!("`{} --version` failed", rustc_path()))
-        })?;
+        let tc = toolchain()
+            .ok_or_else(|| CodegenError::Toolchain(format!("`{} -vV` failed", rustc_path())))?;
         let emitted = emit(prog);
-        let sig = fnv1a(fnv1a(0, ver.as_bytes()), emitted.source.as_bytes());
+        let sig = cache_key(&tc.banner, &RUSTC_FLAGS, &tc.features, &emitted.source);
         if let Some(k) = self.registry.lock().unwrap().get(&sig) {
             return Ok((k.clone(), Provenance::MemoryCache));
         }
@@ -824,21 +894,8 @@ impl CodegenCache {
         std::fs::write(&rs_tmp, src).map_err(|e| io_err("write source", e))?;
         std::fs::rename(&rs_tmp, &rs).map_err(|e| io_err("publish source", e))?;
         let out = std::process::Command::new(rustc_path())
-            .args([
-                "--edition",
-                "2021",
-                "--crate-type",
-                "cdylib",
-                "-C",
-                "opt-level=3",
-                "-C",
-                "panic=abort",
-                "-C",
-                "strip=symbols",
-                "-C",
-                "link-arg=-lm",
-                "-o",
-            ])
+            .args(RUSTC_FLAGS)
+            .arg("-o")
             .arg(&so_tmp)
             .arg(&rs)
             .output()
@@ -965,6 +1022,55 @@ mod tests {
             fnv1a(0, a.source.as_bytes()),
             fnv1a(0, other.source.as_bytes())
         );
+    }
+
+    /// The emission shape rustc compiles fast: no iterator `for` loop
+    /// anywhere (each costs a `&mut Range` borrow in MIR borrow-checking),
+    /// and one store line per instruction in every segment, scalar and
+    /// laned.
+    #[test]
+    fn emission_has_no_iterator_loops_and_one_store_per_instruction() {
+        let prog = sample_program();
+        let source = emit(&prog).source;
+        assert!(
+            !source.lines().any(|l| l.trim_start().starts_with("for ")),
+            "iterator for loop in emitted source"
+        );
+        for (name, len) in [
+            ("ark_pp", prog.pprologue.len()),
+            ("ark_tp", prog.tprologue.len()),
+            ("ark_body", prog.body_len()),
+        ] {
+            for lanes in [1].into_iter().chain(NATIVE_LANE_WIDTHS) {
+                let seg = if lanes == 1 {
+                    name.to_string()
+                } else {
+                    format!("{name}{lanes}")
+                };
+                assert_eq!(
+                    crate::analysis::segment_store_count(&source, &seg),
+                    Some(len),
+                    "stores in {seg}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cache_key_covers_banner_flags_features_and_source() {
+        let (banner, features, source) = ("rustc 1.0.0", "target_feature=\"sse2\"", "fn f() {}");
+        let key = cache_key(banner, &RUSTC_FLAGS, features, source);
+        assert_eq!(key, cache_key(banner, &RUSTC_FLAGS, features, source));
+        let other_flags = RUSTC_FLAGS.map(|f| if f == "opt-level=3" { "opt-level=2" } else { f });
+        for changed in [
+            cache_key("rustc 1.0.1", &RUSTC_FLAGS, features, source),
+            cache_key(banner, &other_flags, features, source),
+            cache_key(banner, &RUSTC_FLAGS[1..], features, source),
+            cache_key(banner, &RUSTC_FLAGS, "target_feature=\"avx2\"", source),
+            cache_key(banner, &RUSTC_FLAGS, features, "fn g() {}"),
+        ] {
+            assert_ne!(key, changed);
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! one program exercising every `POp` the emitter can see (loads, negated
 //! loads, all unary/binary/comparison/boolean operators, the fused
 //! mul-add family, select, and the three builtin waveforms), evaluated at
-//! awkward points, must agree **bit for bit** between the interpreter and
-//! the native backend — scalar and at every generated lane width, plus
-//! the interpreter fallback at a width codegen does not generate.
+//! awkward points (signed-zero ties and NaN operands among them), must
+//! agree **bit for bit** between the interpreter and the native backend —
+//! scalar and at every generated lane width, plus the interpreter
+//! fallback at a width codegen does not generate.
 
 use ark_expr::{
     parse_expr, Backend, LaneScratch, ProgScratch, ProgramBuilder, SlotResolver, SystemProgram,
@@ -81,6 +82,18 @@ const POINTS: [([f64; 3], f64); 5] = [
     ([0.0, -0.0, 5.0], 0.35),
 ];
 
+/// Points where an ISA-specific lowering of `min`/`max`/comparisons/select
+/// could drift from the interpreter: signed-zero ties both ways round, and
+/// NaN operands. The laned tests feed these to every lane unchanged (the
+/// per-lane offset applied to [`POINTS`] would turn `-0.0` into `+0.0`).
+const SPECIAL: [([f64; 3], f64); 5] = [
+    ([0.0, -0.0, 0.0], 0.35),
+    ([-0.0, 0.0, -0.0], 0.35),
+    ([f64::NAN, 1.0, -0.0], 0.6),
+    ([0.5, f64::NAN, f64::NAN], 0.6),
+    ([f64::NAN, f64::NAN, f64::NAN], 0.6),
+];
+
 #[test]
 fn native_scalar_bit_identical_to_interpreter() {
     let interp = build();
@@ -95,7 +108,7 @@ fn native_scalar_bit_identical_to_interpreter() {
     let mut sn = ProgScratch::default();
     let mut oi = vec![0.0; EXPRS.len()];
     let mut on = vec![0.0; EXPRS.len()];
-    for (slots, t) in POINTS {
+    for (slots, t) in POINTS.into_iter().chain(SPECIAL) {
         // Twice per point: cold, then through the warm time-prologue cache.
         for round in 0..2 {
             interp.eval_into(&mut si, &slots, t, &[], &mut oi);
@@ -120,11 +133,23 @@ fn laned_parity<const L: usize>() {
     let mut sn = LaneScratch::<L>::default();
     let mut oi = vec![[0.0; L]; EXPRS.len()];
     let mut on = vec![[0.0; L]; EXPRS.len()];
-    for (base, t) in POINTS {
-        let slots: Vec<[f64; L]> = base
-            .iter()
-            .map(|&v| std::array::from_fn(|l| v + 0.0625 * l as f64))
+    // Offset lanes at the ordinary points; at the special points lane `l`
+    // of round `k` takes SPECIAL[(k + l) % n] verbatim, so every lane sees
+    // every special value, next to lanes holding the others.
+    let offset = POINTS.iter().map(|&(base, t)| {
+        let slots: Vec<[f64; L]> = (0..3)
+            .map(|i| std::array::from_fn(|l| base[i] + 0.0625 * l as f64))
             .collect();
+        (slots, t)
+    });
+    let special = (0..SPECIAL.len()).map(|k| {
+        let pick = |l: usize| SPECIAL[(k + l) % SPECIAL.len()].0;
+        let slots: Vec<[f64; L]> = (0..3)
+            .map(|i| std::array::from_fn(|l| pick(l)[i]))
+            .collect();
+        (slots, SPECIAL[k].1)
+    });
+    for (slots, t) in offset.chain(special) {
         interp.eval_lanes_bound(&mut si, &slots, t, &mut oi);
         native.eval_lanes_bound(&mut sn, &slots, t, &mut on);
         for (k, (a, b)) in oi.iter().zip(&on).enumerate() {
