@@ -20,7 +20,7 @@ use ark_core::{Backend, CompiledSystem};
 use ark_ode::{DormandPrince, LanedOdeSystem, Rk4, TrBdf2};
 use ark_paradigms::cnn::{
     build_cnn, build_cnn_parametric, cnn_language, hw_cnn_language, run_cnn, run_cnn_ensemble,
-    run_cnn_ensemble_scalar_readout, NonIdeality, EDGE_TEMPLATE,
+    NonIdeality, EDGE_TEMPLATE,
 };
 use ark_paradigms::image::Image;
 use ark_paradigms::maxcut::{solve, table1_cell_with, CouplingKind, MaxCutProblem};
@@ -128,10 +128,6 @@ struct EnsembleReport {
     parametric_ms: f64,
     /// Same compile-once pipeline with 4-lane integration (single worker).
     laned4_ms: f64,
-    /// 4-lane integration with the readout forced scalar-per-instance —
-    /// the pre-laned-readout pipeline (CNN only, where readout dominates
-    /// the tail).
-    laned4_scalar_readout_ms: Option<f64>,
 }
 
 /// The lane-voting adaptive solver vs the scalar PI controller on a
@@ -252,8 +248,8 @@ fn measure_ensembles(n: usize) -> Vec<EnsembleReport> {
     let laned = Ensemble::serial().with_lanes(4);
 
     // CNN: recompile-per-instance vs compile-once parametric (scalar and
-    // 4-lane integration), with the 4-lane pipeline measured both with the
-    // historical scalar-per-instance readout and the laned group readout.
+    // 4-lane integration; the 4-lane pipeline reads out through the laned
+    // group readout).
     let base = cnn_language();
     let hw = hw_cnn_language(&base);
     let input = Image::from_ascii(&["....", ".##.", ".##.", "...."]);
@@ -281,28 +277,12 @@ fn measure_ensembles(n: usize) -> Vec<EnsembleReport> {
         );
         cnn_ms[slot] = t.elapsed().as_secs_f64() * 1e3;
     }
-    let t = Instant::now();
-    black_box(
-        run_cnn_ensemble_scalar_readout(
-            &hw,
-            &input,
-            &EDGE_TEMPLATE,
-            NonIdeality::GMismatch,
-            1.0,
-            &[],
-            &seeds,
-            &laned,
-        )
-        .unwrap(),
-    );
-    let cnn_laned_scalar_readout_ms = t.elapsed().as_secs_f64() * 1e3;
     out.push(EnsembleReport {
         name: "cnn_fig11",
         instances: n,
         recompile_ms,
         parametric_ms: cnn_ms[0],
         laned4_ms: cnn_ms[1],
-        laned4_scalar_readout_ms: Some(cnn_laned_scalar_readout_ms),
     });
 
     // TLN: recompile-per-instance vs compile-once parametric.
@@ -338,7 +318,6 @@ fn measure_ensembles(n: usize) -> Vec<EnsembleReport> {
         recompile_ms,
         parametric_ms: tln_ms[0],
         laned4_ms: tln_ms[1],
-        laned4_scalar_readout_ms: None,
     });
 
     // OBC Table 1 cell: per-trial solve (rebuild + recompile) vs the
@@ -370,7 +349,6 @@ fn measure_ensembles(n: usize) -> Vec<EnsembleReport> {
         recompile_ms,
         parametric_ms: obc_ms[0],
         laned4_ms: obc_ms[1],
-        laned4_scalar_readout_ms: None,
     });
 
     out
@@ -801,29 +779,16 @@ fn write_json(
     let _ = writeln!(j, "  \"ensembles\": {{");
     for (i, e) in ensembles.iter().enumerate() {
         let comma = if i + 1 < ensembles.len() { "," } else { "" };
-        // The CNN row carries the laned-readout A/B: `laned4_ms` is the
-        // full laned pipeline (laned integration + laned group readout),
-        // `laned4_scalar_readout_ms` the historical scalar-readout form.
-        let readout = match e.laned4_scalar_readout_ms {
-            Some(ms) => format!(
-                "\n      \"laned4_scalar_readout_ms\": {:.1},\n      \
-                 \"laned_readout_speedup\": {:.2},",
-                ms,
-                ms / e.laned4_ms.max(1e-9)
-            ),
-            None => String::new(),
-        };
         let _ = writeln!(
             j,
             "    \"{}\": {{\n      \"instances\": {},\n      \"recompile_per_instance_ms\": {:.1},\n      \
-             \"compile_once_parametric_ms\": {:.1},\n      \"ensemble_speedup\": {:.2},{}\n      \
+             \"compile_once_parametric_ms\": {:.1},\n      \"ensemble_speedup\": {:.2},\n      \
              \"laned4_ms\": {:.1},\n      \"laned_speedup\": {:.2}\n    }}{}",
             e.name,
             e.instances,
             e.recompile_ms,
             e.parametric_ms,
             e.recompile_ms / e.parametric_ms.max(1e-9),
-            readout,
             e.laned4_ms,
             e.parametric_ms / e.laned4_ms.max(1e-9),
             comma
@@ -1062,15 +1027,6 @@ fn bench_rhs(c: &mut Criterion) {
             e.laned4_ms,
             e.parametric_ms / e.laned4_ms.max(1e-9),
         );
-        if let Some(ms) = e.laned4_scalar_readout_ms {
-            println!(
-                "{} laned readout: scalar-readout {:.1} ms -> laned {:.1} ms ({:.2}x)",
-                e.name,
-                ms,
-                e.laned4_ms,
-                ms / e.laned4_ms.max(1e-9),
-            );
-        }
     }
     let native_ens = measure_native(ensemble_n);
     for ne in &native_ens {

@@ -877,35 +877,6 @@ pub fn run_cnn_ensemble(
         .map_grouped(&readout)
 }
 
-/// [`run_cnn_ensemble`] with the readout forced to run scalar, once per
-/// instance — the pre-laned-readout pipeline. Results are bit-identical to
-/// [`run_cnn_ensemble`]; this entry point exists so the laned readout has
-/// an in-tree A/B baseline (the `rhs` bench records both).
-///
-/// # Errors
-///
-/// As [`run_cnn_ensemble`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_cnn_ensemble_scalar_readout(
-    lang: &Language,
-    input: &Image,
-    template: &Template,
-    nonideality: NonIdeality,
-    t_end: f64,
-    snap_times: &[f64],
-    seeds: &[u64],
-    ens: &ark_sim::Ensemble,
-) -> Result<Vec<CnnRun>, crate::DynError> {
-    let pcnn = build_cnn_parametric(lang, input, template, nonideality)?;
-    let sys = CompiledSystem::compile_parametric(lang, &pcnn.pgraph)?;
-    let (width, height) = (pcnn.width, pcnn.height);
-    ens.run(&sys, &ark_ode::Rk4 { dt: CNN_SOLVER_DT }, seeds, 0.0, t_end)
-        .stride(CNN_SOLVER_STRIDE)
-        .map(|_seed, params, tr, scratch| {
-            read_cnn_run(&sys, width, height, params, t_end, snap_times, &tr, scratch)
-        })
-}
-
 /// Population statistics of CNN edge detection under fabrication mismatch,
 /// produced by the streaming ensemble path of [`run_cnn_yield`]. The
 /// quality measure per fabricated instance is its wrong-pixel count against
@@ -1299,38 +1270,34 @@ mod tests {
     }
 
     /// The laned group readout is bit-identical to the scalar per-instance
-    /// readout it replaced, across lane widths and tail sizes.
+    /// readout, across lane widths and tail sizes (9 seeds give 8 lanes a
+    /// full group): at `lanes = 1` every instance integrates scalar and
+    /// reads out through `CnnReadout::finish`.
     #[test]
     fn laned_readout_matches_scalar_readout_bit_for_bit() {
         let base = cnn_language();
         let hw = hw_cnn_language(&base);
         let input = Image::from_ascii(&["....", ".##.", ".##.", "...."]);
-        for n in [3usize, 4, 7] {
+        let run = |seeds: &[u64], lanes: usize| {
+            let ens = ark_sim::Ensemble::new(2).with_lanes(lanes);
+            run_cnn_ensemble(
+                &hw,
+                &input,
+                &EDGE_TEMPLATE,
+                NonIdeality::GMismatch,
+                1.0,
+                &[0.25, 0.75],
+                seeds,
+                &ens,
+            )
+            .unwrap()
+        };
+        for n in [3usize, 4, 7, 9] {
             let seeds: Vec<u64> = (0..n as u64).collect();
-            for lanes in [1usize, 4, 8] {
-                let ens = ark_sim::Ensemble::new(2).with_lanes(lanes);
-                let laned = run_cnn_ensemble(
-                    &hw,
-                    &input,
-                    &EDGE_TEMPLATE,
-                    NonIdeality::GMismatch,
-                    1.0,
-                    &[0.25, 0.75],
-                    &seeds,
-                    &ens,
-                )
-                .unwrap();
-                let scalar = run_cnn_ensemble_scalar_readout(
-                    &hw,
-                    &input,
-                    &EDGE_TEMPLATE,
-                    NonIdeality::GMismatch,
-                    1.0,
-                    &[0.25, 0.75],
-                    &seeds,
-                    &ens,
-                )
-                .unwrap();
+            let scalar = run(&seeds, 1);
+            for lanes in [4usize, 8] {
+                let laned = run(&seeds, lanes);
+                assert_eq!(laned.len(), scalar.len());
                 for (k, (a, b)) in laned.iter().zip(&scalar).enumerate() {
                     assert_eq!(
                         a.convergence_time, b.convergence_time,

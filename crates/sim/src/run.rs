@@ -4,20 +4,30 @@
 
 use crate::reduce::{Reducer, STREAM_BLOCK};
 use crate::resilience::{EnsembleError, InstanceOutcome, RecoveryPolicy, RecoveryReport};
-use crate::{ClosureReadout, Ensemble, LaneBufs, LaneReadout};
-use ark_core::{CompiledSystem, EvalScratch};
-use ark_ode::{FinalState, Observer, OdeWorkspace, SolveError, SolveStats, Solver, Trajectory};
+use crate::{ClosureReadout, Ensemble, LaneReadout};
+use ark_core::{CompiledSystem, EvalScratch, LaneScratch};
+use ark_ode::{
+    FinalState, Observer, OdeWorkspace, SolveError, SolveStats, Solver, Strided, Trajectory,
+    Workspace,
+};
 
-/// An observer usable on every ensemble dispatch width: scalar plus each
+/// An observer usable at every width the lane-group walker runs: scalar
+/// (`f64`, and `[f64; 1]` for the walker's width-1 instantiation) plus each
 /// laned interpreter width in [`crate::SUPPORTED_LANES`]. Blanket-implemented,
 /// so any observer generic over `ark_ode`'s element type (like
 /// [`FinalState`]) qualifies automatically; closure-based
 /// [`Probe`](ark_ode::Probe)s do **not** (a closure has one concrete
 /// argument type) — wrap bespoke per-step readout in a small struct
 /// implementing [`Observer`] over `E: Elem` instead.
-pub trait EnsembleObserver: Observer<f64> + Observer<[f64; 4]> + Observer<[f64; 8]> {}
+pub trait EnsembleObserver:
+    Observer<f64> + Observer<[f64; 1]> + Observer<[f64; 4]> + Observer<[f64; 8]>
+{
+}
 
-impl<O: Observer<f64> + Observer<[f64; 4]> + Observer<[f64; 8]>> EnsembleObserver for O {}
+impl<O> EnsembleObserver for O where
+    O: Observer<f64> + Observer<[f64; 1]> + Observer<[f64; 4]> + Observer<[f64; 8]>
+{
+}
 
 /// One finished instance as seen by an [`EnsembleRun::reduce_observed`]
 /// extractor: which lane of which observer holds it, plus the instance's
@@ -49,6 +59,19 @@ pub struct FinalSnapshot<'r> {
     pub state: &'r [f64],
     /// Solver statistics of the run (shared by the whole lane group).
     pub stats: SolveStats,
+}
+
+impl<'r> FinalSnapshot<'r> {
+    /// Lane `lane` of a finished [`FinalState`] observer.
+    fn of(seed: u64, params: &'r [f64], obs: &'r FinalState, lane: usize) -> Self {
+        FinalSnapshot {
+            seed,
+            params,
+            t: obs.time(),
+            state: obs.lane_state(lane),
+            stats: obs.stats(),
+        }
+    }
 }
 
 /// A configured ensemble integration, created by [`Ensemble::run`] —
@@ -235,16 +258,41 @@ where
         E: Send + From<EnsembleError>,
         R: LaneReadout<T, E>,
     {
-        self.ens.dispatch_lanes(
-            self.sys,
-            self.solver,
-            self.seeds,
-            &self.prep,
-            self.t0,
-            self.t1,
-            self.stride,
-            readout,
-        )
+        let groups = match self.width() {
+            4 => self.map_at::<4, T, E, R>(readout),
+            8 => self.map_at::<8, T, E, R>(readout),
+            _ => self.map_at::<1, T, E, R>(readout),
+        }?;
+        Ok(groups.into_iter().flatten().collect())
+    }
+
+    /// [`EnsembleRun::map_grouped`] at lane width `L`: one lane group per
+    /// work unit, which balances load at group granularity.
+    fn map_at<const L: usize, T, E, R>(&self, readout: &R) -> Result<Vec<Vec<T>>, E>
+    where
+        T: Send,
+        E: Send + From<EnsembleError>,
+        R: LaneReadout<T, E>,
+    {
+        self.units::<L, _, _>(L, |bufs, group| {
+            self.for_groups(
+                group,
+                bufs,
+                Vec::with_capacity(L),
+                || Strided::every(self.stride),
+                |out, seeds, params, solved, bufs| {
+                    let trs = solved?.into_trajectories();
+                    let (lscratch, scratch) = (&mut bufs.obs_lscratch, &mut bufs.scratch);
+                    readout.finish_group::<L>(seeds, params, trs, lscratch, scratch, out)?;
+                    Ok(true)
+                },
+                |out, seed, params, _, solved, bufs| {
+                    let tr = solved?.into_trajectory();
+                    out.push(readout.finish(seed, params, tr, &mut bufs.scratch)?);
+                    Ok(())
+                },
+            )
+        })
     }
 
     /// Stream final states through an online [`Reducer`]: each instance
@@ -273,13 +321,7 @@ where
             FinalState::new,
             move |inst: &Observed<'_, FinalState>, scratch| {
                 extract(
-                    &FinalSnapshot {
-                        seed: inst.seed,
-                        params: inst.params,
-                        t: inst.obs.time(),
-                        state: inst.obs.lane_state(inst.lane),
-                        stats: inst.obs.stats(),
-                    },
+                    &FinalSnapshot::of(inst.seed, inst.params, inst.obs, inst.lane),
                     scratch,
                 )
             },
@@ -314,183 +356,191 @@ where
         X: Fn(&Observed<'_, O>, &mut EvalScratch) -> Result<I, E> + Sync,
         R: Reducer<I>,
     {
-        // Lane width selection mirrors the materializing dispatch: the
-        // match arms must cover crate::SUPPORTED_LANES.
-        let lanes = if self.solver.supports_lanes() {
+        let blocks = match self.width() {
+            4 => self.stream_at::<4, O, I, E, R>(&make_obs, &extract, reducer),
+            8 => self.stream_at::<8, O, I, E, R>(&make_obs, &extract, reducer),
+            _ => self.stream_at::<1, O, I, E, R>(&make_obs, &extract, reducer),
+        }?;
+        let mut total = reducer.new_acc();
+        for partial in blocks {
+            reducer.merge(&mut total, partial);
+        }
+        Ok(reducer.finish(total))
+    }
+
+    /// [`EnsembleRun::reduce_observed`] at lane width `L`: one accumulator
+    /// per [`STREAM_BLOCK`] of seeds; any solver error aborts.
+    fn stream_at<const L: usize, O, I, E, R>(
+        &self,
+        make_obs: &(impl Fn() -> O + Sync),
+        extract: &(impl Fn(&Observed<'_, O>, &mut EvalScratch) -> Result<I, E> + Sync),
+        reducer: &R,
+    ) -> Result<Vec<R::Acc>, E>
+    where
+        O: Observer<f64> + Observer<[f64; L]>,
+        E: Send + From<EnsembleError>,
+        R: Reducer<I>,
+    {
+        let push = |acc: &mut R::Acc,
+                    seeds: &[u64],
+                    params: &[&[f64]],
+                    solved: Solved<O>,
+                    bufs: &mut LaneBufs<L>|
+         -> Result<bool, E> {
+            let obs = solved?;
+            for (lane, (&seed, &params)) in seeds.iter().zip(params).enumerate() {
+                let inst = Observed {
+                    lane,
+                    seed,
+                    params,
+                    obs: &obs,
+                };
+                reducer.push(acc, extract(&inst, &mut bufs.scratch)?);
+            }
+            Ok(true)
+        };
+        self.units::<L, _, _>(STREAM_BLOCK, |bufs, block| {
+            self.for_groups(
+                block,
+                bufs,
+                reducer.new_acc(),
+                make_obs,
+                push,
+                |acc, seed, params, _, solved, bufs| {
+                    push(acc, &[seed], &[params], solved, bufs).map(drop)
+                },
+            )
+        })
+    }
+
+    /// The lane width instances integrate at: the engine's, or 1 for a
+    /// solver without a laned form. Every terminal dispatches on it; the
+    /// arms cover [`crate::SUPPORTED_LANES`].
+    fn width(&self) -> usize {
+        if self.solver.supports_lanes() {
             self.ens.lanes()
         } else {
             1
-        };
-        match lanes {
-            4 => self.reduce_lane_blocks::<4, _, _, _, _, _, _>(&make_obs, &extract, reducer),
-            8 => self.reduce_lane_blocks::<8, _, _, _, _, _, _>(&make_obs, &extract, reducer),
-            _ => self.reduce_scalar_blocks(&make_obs, &extract, reducer),
         }
     }
 
-    /// Streaming runner, laned: fixed blocks of [`STREAM_BLOCK`] seeds are
-    /// the unit of work *and* of merging — one accumulator per block,
-    /// partials merged serially in block order, so the merge tree is
-    /// independent of the worker count. Within a block, lane groups of `L`
-    /// integrate through the laned interpreter (scalar fallback for the
-    /// tail) and items push in seed order.
-    fn reduce_lane_blocks<const L: usize, O, OF, I, E, X, R>(
+    /// The work-unit driver behind every terminal: split the seeds into
+    /// units of `unit_len` *before* distribution to workers — so units, and
+    /// the order their outputs come back in, never depend on the worker
+    /// count — and run `job` on each, every worker reusing one
+    /// [`LaneBufs`].
+    fn units<const L: usize, U: Send, E: Send>(
         &self,
-        make_obs: &OF,
-        extract: &X,
-        reducer: &R,
-    ) -> Result<R::Output, E>
+        unit_len: usize,
+        job: impl Fn(&mut LaneBufs<L>, &[u64]) -> Result<U, E> + Sync,
+    ) -> Result<Vec<U>, E> {
+        let units: Vec<&[u64]> = self.seeds.chunks(unit_len).collect();
+        let idx: Vec<u64> = (0..units.len() as u64).collect();
+        self.ens.try_map_init(&idx, LaneBufs::default, |bufs, ui| {
+            job(bufs, units[ui as usize])
+        })
+    }
+
+    /// The lane-group walker: step through `unit` in groups of `L`. A full
+    /// group whose initial states all have the system's dimension
+    /// integrates laned under one observer and goes to `laned`, a failure
+    /// attributed to the lowest failed lane's seed; `laned` returns `false`
+    /// to demote the group. Every other instance — the `N % L` tail,
+    /// malformed and demoted groups, and every instance when `L == 1` —
+    /// integrates alone and goes to `scalar`. Both fold into `out`, the
+    /// unit's output.
+    fn for_groups<const L: usize, O, U, E>(
+        &self,
+        unit: &[u64],
+        bufs: &mut LaneBufs<L>,
+        mut out: U,
+        make_obs: impl Fn() -> O,
+        laned: impl Fn(&mut U, &[u64], &[&[f64]], Solved<O>, &mut LaneBufs<L>) -> Result<bool, E>,
+        scalar: impl Fn(&mut U, u64, &[f64], &[f64], Solved<O>, &mut LaneBufs<L>) -> Result<(), E>,
+    ) -> Result<U, E>
     where
         O: Observer<f64> + Observer<[f64; L]>,
-        OF: Fn() -> O + Sync,
-        E: Send + From<EnsembleError>,
-        X: Fn(&Observed<'_, O>, &mut EvalScratch) -> Result<I, E> + Sync,
-        R: Reducer<I>,
     {
-        let n = self.sys.num_states();
-        let blocks: Vec<&[u64]> = self.seeds.chunks(STREAM_BLOCK).collect();
-        let idx: Vec<u64> = (0..blocks.len() as u64).collect();
-        let job = |bufs: &mut LaneBufs<L>, bi: u64| -> Result<R::Acc, E> {
-            let mut acc = reducer.new_acc();
-            for group in blocks[bi as usize].chunks(L) {
-                let prepped: Vec<(Vec<f64>, Vec<f64>)> =
-                    group.iter().map(|&s| (self.prep)(s)).collect();
-                if group.len() == L && prepped.iter().all(|(_, y0)| y0.len() == n) {
-                    // Full group: struct-of-arrays initial state, laned bind.
-                    bufs.y0.clear();
-                    bufs.y0.resize(n, [0.0; L]);
-                    for (l, (_, y0)) in prepped.iter().enumerate() {
-                        for (i, &v) in y0.iter().enumerate() {
-                            bufs.y0[i][l] = v;
-                        }
-                    }
-                    let params: Vec<&[f64]> = prepped.iter().map(|(p, _)| p.as_slice()).collect();
-                    let mut obs = make_obs();
-                    {
-                        let bound = self.sys.bind_lanes::<L>(&params, &mut bufs.lscratch);
-                        self.solver
-                            .solve(
-                                &bound,
-                                self.t0,
-                                &bufs.y0[..n],
-                                self.t1,
-                                &mut obs,
-                                &mut bufs.lws,
-                            )
-                            .map_err(|e| {
-                                // Attribute to the lowest failed lane — the
-                                // instance whose error the drive loop
-                                // reported. Pre-flight errors (no time)
-                                // leave the lane masks stale: attribute to
-                                // the group's first seed.
-                                let lane = if e.time().is_some() {
-                                    bufs.lws.first_failed_lane().unwrap_or(0)
-                                } else {
-                                    0
-                                };
-                                E::from(EnsembleError {
-                                    seed: group[lane.min(group.len() - 1)],
-                                    source: e,
-                                })
-                            })?;
-                    }
-                    for (l, &seed) in group.iter().enumerate() {
-                        let item = extract(
-                            &Observed {
-                                lane: l,
-                                seed,
-                                params: params[l],
-                                obs: &obs,
-                            },
-                            &mut bufs.scratch,
-                        )?;
-                        reducer.push(&mut acc, item);
-                    }
-                } else {
-                    // Scalar tail (block length % L != 0).
-                    for (&seed, (params, y0)) in group.iter().zip(&prepped) {
-                        let mut obs = make_obs();
-                        {
-                            let bound = self.sys.bind_ref(params, &mut bufs.scratch);
-                            self.solver
-                                .solve(&bound, self.t0, y0, self.t1, &mut obs, &mut bufs.ws)
-                                .map_err(|e| E::from(EnsembleError { seed, source: e }))?;
-                        }
-                        let item = extract(
-                            &Observed {
-                                lane: 0,
-                                seed,
-                                params,
-                                obs: &obs,
-                            },
-                            &mut bufs.scratch,
-                        )?;
-                        reducer.push(&mut acc, item);
+        let (sys, solver, t0, t1) = (self.sys, self.solver, self.t0, self.t1);
+        let n = sys.num_states();
+        for group in unit.chunks(L) {
+            let prepped: Vec<(Vec<f64>, Vec<f64>)> =
+                group.iter().map(|&s| (self.prep)(s)).collect();
+            // `L > 1` folds away on the scalar instantiation.
+            if L > 1 && group.len() == L && prepped.iter().all(|(_, y0)| y0.len() == n) {
+                // Struct-of-arrays initial state, laned bind.
+                bufs.y0.clear();
+                bufs.y0.resize(n, [0.0; L]);
+                for (l, (_, y0)) in prepped.iter().enumerate() {
+                    for (i, &v) in y0.iter().enumerate() {
+                        bufs.y0[i][l] = v;
                     }
                 }
-            }
-            Ok(acc)
-        };
-        let partials: Vec<R::Acc> = self.ens.try_map_init(&idx, LaneBufs::<L>::default, job)?;
-        let mut total = reducer.new_acc();
-        for partial in partials {
-            reducer.merge(&mut total, partial);
-        }
-        Ok(reducer.finish(total))
-    }
-
-    /// Streaming runner, scalar path (lane width 1 or a lane-incapable
-    /// solver): same block structure and merge order as the laned runner,
-    /// every instance integrated individually.
-    fn reduce_scalar_blocks<O, OF, I, E, X, R>(
-        &self,
-        make_obs: &OF,
-        extract: &X,
-        reducer: &R,
-    ) -> Result<R::Output, E>
-    where
-        O: Observer<f64>,
-        OF: Fn() -> O + Sync,
-        E: Send + From<EnsembleError>,
-        X: Fn(&Observed<'_, O>, &mut EvalScratch) -> Result<I, E> + Sync,
-        R: Reducer<I>,
-    {
-        let blocks: Vec<&[u64]> = self.seeds.chunks(STREAM_BLOCK).collect();
-        let idx: Vec<u64> = (0..blocks.len() as u64).collect();
-        let job = |(scratch, ws): &mut (EvalScratch, OdeWorkspace), bi: u64| -> Result<R::Acc, E> {
-            let mut acc = reducer.new_acc();
-            for &seed in blocks[bi as usize] {
-                let (params, y0) = (self.prep)(seed);
+                let params: Vec<&[f64]> = prepped.iter().map(|(p, _)| p.as_slice()).collect();
                 let mut obs = make_obs();
-                {
-                    let bound = self.sys.bind_ref(&params, scratch);
-                    self.solver
-                        .solve(&bound, self.t0, &y0, self.t1, &mut obs, ws)
-                        .map_err(|e| E::from(EnsembleError { seed, source: e }))?;
+                let bound = sys.bind_lanes::<L>(&params, &mut bufs.lscratch);
+                let solved = solver.solve(&bound, t0, &bufs.y0[..n], t1, &mut obs, &mut bufs.lws);
+                let solved = solved.map(|_| obs).map_err(|source| {
+                    // Attribute to the lowest failed lane (the instance
+                    // whose error the drive loop reported); pre-flight
+                    // errors carry no time and leave the lane masks
+                    // stale, so they attribute to the group's first seed.
+                    let lane = match source.time() {
+                        Some(_) => bufs.lws.first_failed_lane().unwrap_or(0),
+                        None => 0,
+                    };
+                    EnsembleError {
+                        seed: group[lane],
+                        source,
+                    }
+                });
+                if laned(&mut out, group, &params, solved, bufs)? {
+                    continue;
                 }
-                let item = extract(
-                    &Observed {
-                        lane: 0,
-                        seed,
-                        params: &params,
-                        obs: &obs,
-                    },
-                    scratch,
-                )?;
-                reducer.push(&mut acc, item);
             }
-            Ok(acc)
-        };
-        let partials: Vec<R::Acc> = self.ens.try_map_init(
-            &idx,
-            || (self.sys.scratch(), OdeWorkspace::new(self.sys.num_states())),
-            job,
-        )?;
-        let mut total = reducer.new_acc();
-        for partial in partials {
-            reducer.merge(&mut total, partial);
+            for (&seed, (params, y0)) in group.iter().zip(&prepped) {
+                let mut obs = make_obs();
+                let bound = sys.bind_ref(params, &mut bufs.scratch);
+                let solved = solver.solve(&bound, t0, y0, t1, &mut obs, &mut bufs.ws);
+                let solved = solved
+                    .map(|_| obs)
+                    .map_err(|source| EnsembleError { seed, source });
+                scalar(&mut out, seed, params, y0, solved, bufs)?;
+            }
         }
-        Ok(reducer.finish(total))
+        Ok(out)
+    }
+}
+
+/// A solve's result as the walker hands it to a terminal: the finished
+/// observer, or the error attributed to its instance.
+type Solved<O> = Result<O, EnsembleError>;
+
+/// Per-worker buffers of the lane-group walker: the scalar scratch and
+/// workspace for single instances and readout, plus the lane scratch and
+/// workspace for full groups. The observation programs get a lane scratch
+/// of their own (`obs_lscratch`) so the RHS and observation constant pools
+/// both stay primed across a worker's groups. All grow on demand.
+struct LaneBufs<const L: usize> {
+    scratch: EvalScratch,
+    ws: OdeWorkspace,
+    lscratch: LaneScratch<L>,
+    obs_lscratch: LaneScratch<L>,
+    lws: Workspace<[f64; L]>,
+    /// Struct-of-arrays staging for the group's initial states.
+    y0: Vec<[f64; L]>,
+}
+
+impl<const L: usize> Default for LaneBufs<L> {
+    fn default() -> Self {
+        LaneBufs {
+            scratch: EvalScratch::default(),
+            ws: OdeWorkspace::default(),
+            lscratch: LaneScratch::default(),
+            obs_lscratch: LaneScratch::default(),
+            lws: Workspace::default(),
+            y0: Vec::new(),
+        }
     }
 }
 
@@ -554,205 +604,110 @@ where
         X: Fn(&FinalSnapshot<'_>, &mut EvalScratch) -> Result<I, E> + Sync,
         R: Reducer<I>,
     {
-        let lanes = if self.run.solver.supports_lanes() {
-            self.run.ens.lanes()
-        } else {
-            1
-        };
-        match lanes {
-            4 => self.recover_lane_blocks::<4, _, _, _, _>(&extract, reducer),
-            8 => self.recover_lane_blocks::<8, _, _, _, _>(&extract, reducer),
-            _ => self.recover_scalar_blocks(&extract, reducer),
+        let blocks = match self.run.width() {
+            4 => self.recover_at::<4, I, E, R>(&extract, reducer),
+            8 => self.recover_at::<8, I, E, R>(&extract, reducer),
+            _ => self.recover_at::<1, I, E, R>(&extract, reducer),
+        }?;
+        let mut total = reducer.new_acc();
+        let mut report = RecoveryReport::default();
+        for (partial, rep) in blocks {
+            reducer.merge(&mut total, partial);
+            report.merge(rep);
         }
+        // Static provenance rides along with the dynamic counts: if the
+        // interval analysis proves an operation undefined for every input,
+        // the report says so next to the failures it likely caused.
+        report.domain_warnings = self.run.sys.domain_warnings();
+        Ok((reducer.finish(total), report))
     }
 
-    /// Recovering streaming runner, laned: the block/merge structure of
-    /// [`EnsembleRun::reduce_observed`]'s laned runner, with lane-group
-    /// demotion on failure.
-    fn recover_lane_blocks<const L: usize, I, E, X, R>(
+    /// [`RecoveringRun::reduce`] at lane width `L`: the block structure of
+    /// [`EnsembleRun::reduce_observed`], with a failed lane group demoted
+    /// and a failed instance walking the fallback chain, every instance's
+    /// verdict counted in its block's [`RecoveryReport`].
+    fn recover_at<const L: usize, I, E, R>(
         &self,
-        extract: &X,
+        extract: &(impl Fn(&FinalSnapshot<'_>, &mut EvalScratch) -> Result<I, E> + Sync),
         reducer: &R,
-    ) -> Result<(R::Output, RecoveryReport), E>
+    ) -> Result<Vec<(R::Acc, RecoveryReport)>, E>
     where
-        FinalState: Observer<[f64; L]>,
         E: Send,
-        X: Fn(&FinalSnapshot<'_>, &mut EvalScratch) -> Result<I, E> + Sync,
         R: Reducer<I>,
     {
-        let run = &self.run;
-        let n = run.sys.num_states();
-        let blocks: Vec<&[u64]> = run.seeds.chunks(STREAM_BLOCK).collect();
-        let idx: Vec<u64> = (0..blocks.len() as u64).collect();
-        let job = |bufs: &mut LaneBufs<L>, bi: u64| -> Result<(R::Acc, RecoveryReport), E> {
-            let mut acc = reducer.new_acc();
-            let mut report = RecoveryReport::default();
-            for group in blocks[bi as usize].chunks(L) {
-                let prepped: Vec<(Vec<f64>, Vec<f64>)> =
-                    group.iter().map(|&s| (run.prep)(s)).collect();
-                let mut laned_ok = false;
-                if group.len() == L && prepped.iter().all(|(_, y0)| y0.len() == n) {
-                    bufs.y0.clear();
-                    bufs.y0.resize(n, [0.0; L]);
-                    for (l, (_, y0)) in prepped.iter().enumerate() {
-                        for (i, &v) in y0.iter().enumerate() {
-                            bufs.y0[i][l] = v;
-                        }
-                    }
-                    let params: Vec<&[f64]> = prepped.iter().map(|(p, _)| p.as_slice()).collect();
-                    let mut obs = FinalState::new();
-                    let solved = {
-                        let bound = run.sys.bind_lanes::<L>(&params, &mut bufs.lscratch);
-                        run.solver.solve(
-                            &bound,
-                            run.t0,
-                            &bufs.y0[..n],
-                            run.t1,
-                            &mut obs,
-                            &mut bufs.lws,
-                        )
+        let push = |(acc, report): &mut (R::Acc, RecoveryReport),
+                    snap: Option<FinalSnapshot<'_>>,
+                    outcome: &InstanceOutcome,
+                    scratch: &mut EvalScratch|
+         -> Result<(), E> {
+            if let Some(snap) = snap {
+                reducer.push(acc, extract(&snap, scratch)?);
+            }
+            report.push(outcome);
+            Ok(())
+        };
+        self.run.units::<L, _, _>(STREAM_BLOCK, |bufs, block| {
+            self.run.for_groups(
+                block,
+                bufs,
+                (reducer.new_acc(), RecoveryReport::default()),
+                FinalState::new,
+                |out, seeds, params, solved, bufs| {
+                    // On failure the whole group demotes: every lane re-runs
+                    // scalar, so the healthy lanes produce exactly the items
+                    // a lanes = 1 engine would have.
+                    let Ok(obs) = solved else {
+                        return Ok(false);
                     };
-                    if solved.is_ok() {
-                        laned_ok = true;
-                        for (l, &seed) in group.iter().enumerate() {
-                            let item = extract(
-                                &FinalSnapshot {
-                                    seed,
-                                    params: params[l],
-                                    t: obs.time(),
-                                    state: obs.lane_state(l),
-                                    stats: obs.stats(),
-                                },
-                                &mut bufs.scratch,
-                            )?;
-                            reducer.push(&mut acc, item);
-                            report.push(&InstanceOutcome::Completed);
-                        }
+                    for (lane, (&seed, &params)) in seeds.iter().zip(params).enumerate() {
+                        let snap = FinalSnapshot::of(seed, params, &obs, lane);
+                        push(
+                            out,
+                            Some(snap),
+                            &InstanceOutcome::Completed,
+                            &mut bufs.scratch,
+                        )?;
                     }
-                    // On Err the whole group demotes below: every lane
-                    // re-runs scalar, so the healthy lanes produce exactly
-                    // the items a lanes = 1 engine would have.
-                }
-                if !laned_ok {
-                    for (&seed, (params, y0)) in group.iter().zip(&prepped) {
-                        let (outcome, obs) =
-                            self.recover_one(seed, params, y0, &mut bufs.scratch, &mut bufs.ws);
-                        if let Some(obs) = obs {
-                            let item = extract(
-                                &FinalSnapshot {
-                                    seed,
-                                    params,
-                                    t: obs.time(),
-                                    state: obs.lane_state(0),
-                                    stats: obs.stats(),
-                                },
-                                &mut bufs.scratch,
-                            )?;
-                            reducer.push(&mut acc, item);
-                        }
-                        report.push(&outcome);
-                    }
-                }
-            }
-            Ok((acc, report))
-        };
-        let partials: Vec<(R::Acc, RecoveryReport)> =
-            run.ens.try_map_init(&idx, LaneBufs::<L>::default, job)?;
-        let mut total = reducer.new_acc();
-        let mut report = RecoveryReport::default();
-        for (partial, rep) in partials {
-            reducer.merge(&mut total, partial);
-            report.merge(rep);
-        }
-        // Static provenance rides along with the dynamic counts: if the
-        // interval analysis proves an operation undefined for every input,
-        // the report says so next to the failures it likely caused.
-        report.domain_warnings = self.run.sys.domain_warnings();
-        Ok((reducer.finish(total), report))
+                    Ok(true)
+                },
+                |out, seed, params, y0, solved, bufs| {
+                    let (outcome, obs) = match solved {
+                        Ok(obs) => (InstanceOutcome::Completed, Some(obs)),
+                        Err(e) => self.retry(seed, params, y0, e.source, bufs),
+                    };
+                    let snap = obs
+                        .as_ref()
+                        .map(|obs| FinalSnapshot::of(seed, params, obs, 0));
+                    push(out, snap, &outcome, &mut bufs.scratch)
+                },
+            )
+        })
     }
 
-    /// Recovering streaming runner, scalar path (lane width 1 or a
-    /// lane-incapable solver).
-    fn recover_scalar_blocks<I, E, X, R>(
-        &self,
-        extract: &X,
-        reducer: &R,
-    ) -> Result<(R::Output, RecoveryReport), E>
-    where
-        E: Send,
-        X: Fn(&FinalSnapshot<'_>, &mut EvalScratch) -> Result<I, E> + Sync,
-        R: Reducer<I>,
-    {
-        let run = &self.run;
-        let blocks: Vec<&[u64]> = run.seeds.chunks(STREAM_BLOCK).collect();
-        let idx: Vec<u64> = (0..blocks.len() as u64).collect();
-        let job = |(scratch, ws): &mut (EvalScratch, OdeWorkspace),
-                   bi: u64|
-         -> Result<(R::Acc, RecoveryReport), E> {
-            let mut acc = reducer.new_acc();
-            let mut report = RecoveryReport::default();
-            for &seed in blocks[bi as usize] {
-                let (params, y0) = (run.prep)(seed);
-                let (outcome, obs) = self.recover_one(seed, &params, &y0, scratch, ws);
-                if let Some(obs) = obs {
-                    let item = extract(
-                        &FinalSnapshot {
-                            seed,
-                            params: &params,
-                            t: obs.time(),
-                            state: obs.lane_state(0),
-                            stats: obs.stats(),
-                        },
-                        scratch,
-                    )?;
-                    reducer.push(&mut acc, item);
-                }
-                report.push(&outcome);
-            }
-            Ok((acc, report))
-        };
-        let partials: Vec<(R::Acc, RecoveryReport)> = run.ens.try_map_init(
-            &idx,
-            || (run.sys.scratch(), OdeWorkspace::new(run.sys.num_states())),
-            job,
-        )?;
-        let mut total = reducer.new_acc();
-        let mut report = RecoveryReport::default();
-        for (partial, rep) in partials {
-            reducer.merge(&mut total, partial);
-            report.merge(rep);
-        }
-        // Static provenance rides along with the dynamic counts: if the
-        // interval analysis proves an operation undefined for every input,
-        // the report says so next to the failures it likely caused.
-        report.domain_warnings = self.run.sys.domain_warnings();
-        Ok((reducer.finish(total), report))
-    }
-
-    /// Run one instance scalar under the recovery ladder: primary solver
-    /// first (attempt 0), then the policy's fallback chain. Returns the
-    /// verdict plus the observer of the successful attempt (if any).
-    fn recover_one(
+    /// Walk the policy's fallback chain for an instance whose primary
+    /// solve failed with `last`. Returns the verdict plus the observer of
+    /// the successful attempt (if any).
+    fn retry<const L: usize>(
         &self,
         seed: u64,
         params: &[f64],
         y0: &[f64],
-        scratch: &mut EvalScratch,
-        ws: &mut OdeWorkspace,
+        mut last: SolveError,
+        bufs: &mut LaneBufs<L>,
     ) -> (InstanceOutcome, Option<FinalState>) {
         let run = &self.run;
-        let bound = run.sys.bind_ref(params, scratch);
-        let mut obs = FinalState::new();
-        let mut last = match run.solver.solve(&bound, run.t0, y0, run.t1, &mut obs, ws) {
-            Ok(_) => return (InstanceOutcome::Completed, Some(obs)),
-            Err(e) => e,
-        };
+        let bound = run.sys.bind_ref(params, &mut bufs.scratch);
         for attempt in 1..=self.policy.max_retries {
             let mut obs = FinalState::new();
-            match self
-                .policy
-                .run_attempt(attempt, &bound, run.t0, y0, run.t1, &mut obs, ws)
-            {
+            match self.policy.run_attempt(
+                attempt,
+                &bound,
+                run.t0,
+                y0,
+                run.t1,
+                &mut obs,
+                &mut bufs.ws,
+            ) {
                 Ok((_, final_solver)) => {
                     return (
                         InstanceOutcome::Recovered {

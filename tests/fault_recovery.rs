@@ -15,6 +15,8 @@
 //! * the non-recovering terminals attribute their first error to the
 //!   failing instance's seed ([`EnsembleError`]).
 
+mod common;
+
 use ark::core::CompiledSystem;
 use ark::ode::{Rk4, SolveError};
 use ark::paradigms::cnn::{
@@ -26,50 +28,8 @@ use ark::sim::{
     seed_range, Ensemble, EnsembleError, FailureLog, FaultMode, FaultPlan, InstanceOutcome,
     RecoveryPolicy, RecoveryReport,
 };
+use common::{decay_params, decay_system};
 use proptest::prelude::*;
-
-/// One compiled parametric RC-decay design: `dv/dt = -v / tau` with `tau`
-/// and the initial value as per-seed parameters. Unlike the saturating
-/// CNN, its rate is parameter-controlled, so a [`FaultMode::Stiffen`]
-/// plan genuinely destabilizes the fixed-step primary solver (and the
-/// adaptive fallback chain genuinely rescues it).
-fn decay_system() -> (ark::core::lang::Language, CompiledSystem) {
-    use ark::core::func::GraphBuilder;
-    use ark::core::lang::{EdgeType, LanguageBuilder, NodeType, ProdRule, Reduction};
-    use ark::core::types::SigType;
-    use ark::expr::parse_expr;
-    let lang = LanguageBuilder::new("rc")
-        .node_type(
-            NodeType::new("V", 1, Reduction::Sum)
-                .attr("tau", SigType::real(0.0, 100.0))
-                .init_default(SigType::real(-100.0, 100.0), 1.0),
-        )
-        .edge_type(EdgeType::new("E"))
-        .prod(ProdRule::new(
-            ("e", "E"),
-            ("s", "V"),
-            ("s", "V"),
-            "s",
-            parse_expr("-var(s)/s.tau").unwrap(),
-        ))
-        .finish()
-        .unwrap();
-    let mut b = GraphBuilder::new_parametric(&lang);
-    b.node("v", "V").unwrap();
-    b.set_attr_param("v", "tau", 1.0).unwrap();
-    b.set_init_param("v", 0, 1.0).unwrap();
-    b.edge("self", "E", "v", "v").unwrap();
-    let pg = b.finish_parametric().unwrap();
-    let sys = CompiledSystem::compile_parametric(&lang, &pg).unwrap();
-    (lang, sys)
-}
-
-fn decay_params(sys: &CompiledSystem, seed: u64) -> Vec<f64> {
-    let mut p = sys.nominal_params();
-    p[sys.param_index("v", "tau").unwrap()] = 0.25 + 0.0625 * (seed % 31) as f64;
-    p[sys.param_index_init("v", 0).unwrap()] = 1.0 + 0.5 * (seed % 7) as f64;
-    p
-}
 
 /// Run the faulted decay ensemble under `workers`/`lanes` and reduce the
 /// final states through [`Moments`]. `lanes == 0` keeps the ensemble's
@@ -139,6 +99,95 @@ fn non_recovering_terminal_attributes_the_failing_seed() {
     // The typed error chains to its SolveError source.
     let dyn_err: &dyn std::error::Error = &err;
     assert!(dyn_err.source().is_some());
+}
+
+/// A full lane group whose `prep` hands one instance a wrong-length
+/// initial state is not integrated laned: every instance of the group runs
+/// scalar, so the malformed one fails alone with its own seed — on the
+/// materializing, streaming and recovering terminals alike, at every lane
+/// width and worker count.
+#[test]
+fn malformed_initial_state_fails_alone_at_every_width() {
+    let (_lang, sys) = decay_system();
+    let seeds = seed_range(0, 13);
+    let prep = |seed: u64| {
+        let params = decay_params(&sys, seed);
+        let mut y0 = sys.initial_state_for(&params);
+        if seed == 6 {
+            y0.push(0.0);
+        }
+        (params, y0)
+    };
+    let mut reference: Option<MomentStats> = None;
+    for lanes in [1usize, 4, 8] {
+        for workers in [1usize, 2] {
+            let cx = format!("lanes={lanes} workers={workers}");
+            let run = || {
+                Ensemble::new(workers)
+                    .with_lanes(lanes)
+                    .run(&sys, &Rk4 { dt: 1e-2 }, &seeds, 0.0, 1.0)
+                    .prep(prep)
+            };
+            let err = run()
+                .map(|_, _, tr, _| Ok::<_, EnsembleError>(tr))
+                .unwrap_err();
+            assert_eq!(err.seed, 6, "map, {cx}");
+            assert_eq!(err.source.kind(), "bad_config", "map, {cx}");
+            let err = run().trajectories().unwrap_err();
+            assert_eq!(err.kind(), "bad_config", "trajectories, {cx}");
+            let err = run()
+                .reduce(|snap, _| Ok::<_, EnsembleError>(snap.state[0]), &Moments)
+                .unwrap_err();
+            assert_eq!(err.seed, 6, "reduce, {cx}");
+
+            let policy = RecoveryPolicy::default();
+            let (stats, report) = run()
+                .with_recovery(&policy)
+                .reduce(|snap, _| Ok::<_, SolveError>(snap.state[0]), &Moments)
+                .unwrap();
+            assert_eq!(report.failed, 1, "{cx}");
+            assert_eq!(report.completed, 12, "{cx}");
+            let kinds: Vec<_> = report.by_kind.iter().collect();
+            assert_eq!(kinds.len(), 1, "{cx}: {kinds:?}");
+            assert_eq!(*kinds[0].0, "bad_config", "{cx}");
+            assert_eq!(kinds[0].1.first_seed, 6, "{cx}");
+            assert_eq!(stats.count, 12, "{cx}");
+            match &reference {
+                None => reference = Some(stats),
+                Some(want) => assert_moments_bits(&stats, want, &cx),
+            }
+        }
+    }
+}
+
+/// A pre-flight error (here an empty interval) carries no time, so the
+/// laned path cannot read a failed lane off the workspace: laned and
+/// scalar alike, the error names the run's first seed at every width.
+#[test]
+fn preflight_errors_name_the_first_seed_at_every_width() {
+    let (_lang, sys) = decay_system();
+    let seeds = seed_range(3, 13);
+    for lanes in [1usize, 4, 8] {
+        for workers in [1usize, 2] {
+            let cx = format!("lanes={lanes} workers={workers}");
+            let run = || {
+                Ensemble::new(workers)
+                    .with_lanes(lanes)
+                    .run(&sys, &Rk4 { dt: 1e-2 }, &seeds, 1.0, 0.5)
+                    .params(|s| decay_params(&sys, s))
+            };
+            let err = run()
+                .map(|_, _, tr, _| Ok::<_, EnsembleError>(tr))
+                .unwrap_err();
+            assert_eq!(err.seed, 3, "map, {cx}");
+            assert_eq!(err.source.time(), None, "map, {cx}");
+            let err = run()
+                .reduce(|snap, _| Ok::<_, EnsembleError>(snap.state[0]), &Moments)
+                .unwrap_err();
+            assert_eq!(err.seed, 3, "reduce, {cx}");
+            assert_eq!(err.source.kind(), "bad_config", "reduce, {cx}");
+        }
+    }
 }
 
 /// Stiffened instances blow up the fixed-step primary, recover under the

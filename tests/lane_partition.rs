@@ -7,53 +7,15 @@
 //! `ARK_LANES` forced to 1/4/8; this file pins the partitioning logic
 //! itself with explicit widths, independent of the environment.
 
-use ark::core::CompiledSystem;
+mod common;
+
 use ark::ode::Rk4;
 use ark::paradigms::tln::{
     gmc_tln_language, tline_mismatch_ensemble, tln_language, MismatchKind, TlineConfig,
 };
 use ark::sim::{seed_range, Ensemble};
+use common::{decay_params, decay_system};
 use proptest::prelude::*;
-
-/// A small parametric decay design (one compile, params = tau + y0) so the
-/// property runs hundreds of ensembles quickly.
-fn decay_system() -> (ark::core::lang::Language, CompiledSystem) {
-    use ark::core::func::GraphBuilder;
-    use ark::core::lang::{EdgeType, LanguageBuilder, NodeType, ProdRule, Reduction};
-    use ark::core::types::SigType;
-    use ark::expr::parse_expr;
-    let lang = LanguageBuilder::new("rc")
-        .node_type(
-            NodeType::new("V", 1, Reduction::Sum)
-                .attr("tau", SigType::real(0.0, 100.0))
-                .init_default(SigType::real(-100.0, 100.0), 1.0),
-        )
-        .edge_type(EdgeType::new("E"))
-        .prod(ProdRule::new(
-            ("e", "E"),
-            ("s", "V"),
-            ("s", "V"),
-            "s",
-            parse_expr("-var(s)/s.tau").unwrap(),
-        ))
-        .finish()
-        .unwrap();
-    let mut b = GraphBuilder::new_parametric(&lang);
-    b.node("v", "V").unwrap();
-    b.set_attr_param("v", "tau", 1.0).unwrap();
-    b.set_init_param("v", 0, 1.0).unwrap();
-    b.edge("self", "E", "v", "v").unwrap();
-    let pg = b.finish_parametric().unwrap();
-    let sys = CompiledSystem::compile_parametric(&lang, &pg).unwrap();
-    (lang, sys)
-}
-
-fn params_for(sys: &CompiledSystem, seed: u64) -> Vec<f64> {
-    let mut p = sys.nominal_params();
-    p[sys.param_index("v", "tau").unwrap()] = 0.25 + 0.0625 * (seed % 31) as f64;
-    p[sys.param_index_init("v", 0).unwrap()] = 1.0 + 0.5 * (seed % 7) as f64;
-    p
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -75,7 +37,7 @@ proptest! {
             .with_lanes(1)
             .run(&sys, &solver, &seeds, 0.0, 1.0)
             .stride(stride)
-            .params(|s| params_for(&sys, s))
+            .params(|s| decay_params(&sys, s))
             .trajectories()
             .unwrap();
         for lanes in [4usize, 8] {
@@ -84,7 +46,7 @@ proptest! {
                     .with_lanes(lanes)
                     .run(&sys, &solver, &seeds, 0.0, 1.0)
                     .stride(stride)
-                    .params(|s| params_for(&sys, s))
+                    .params(|s| decay_params(&sys, s))
                     .trajectories()
                     .unwrap();
                 prop_assert_eq!(&scalar, &laned, "n={} lanes={} workers={}", n, lanes, workers);

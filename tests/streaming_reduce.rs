@@ -6,53 +6,16 @@
 //! `STREAM_BLOCK`-seed block, merged serially in block order) is what makes
 //! this hold; these properties pin it.
 
-use ark::core::CompiledSystem;
-use ark::ode::{Rk4, SolveError};
+mod common;
+
+use ark::ode::{Elem, Observer, Rk4, SolveError, SolveStats, StepInfo};
 use ark::sim::reduce::{
     premap, reduce_materialized, Extrema, Histogram, MinMax, MomentStats, Moments, Quantiles,
-    Yield, YieldCounter,
+    Reducer, Yield, YieldCounter, STREAM_BLOCK,
 };
 use ark::sim::{seed_range, Ensemble};
+use common::{decay_params, decay_system};
 use proptest::prelude::*;
-
-/// One compiled parametric decay design shared by all cases.
-fn decay_system() -> (ark::core::lang::Language, CompiledSystem) {
-    use ark::core::func::GraphBuilder;
-    use ark::core::lang::{EdgeType, LanguageBuilder, NodeType, ProdRule, Reduction};
-    use ark::core::types::SigType;
-    use ark::expr::parse_expr;
-    let lang = LanguageBuilder::new("rc")
-        .node_type(
-            NodeType::new("V", 1, Reduction::Sum)
-                .attr("tau", SigType::real(0.0, 100.0))
-                .init_default(SigType::real(-100.0, 100.0), 1.0),
-        )
-        .edge_type(EdgeType::new("E"))
-        .prod(ProdRule::new(
-            ("e", "E"),
-            ("s", "V"),
-            ("s", "V"),
-            "s",
-            parse_expr("-var(s)/s.tau").unwrap(),
-        ))
-        .finish()
-        .unwrap();
-    let mut b = GraphBuilder::new_parametric(&lang);
-    b.node("v", "V").unwrap();
-    b.set_attr_param("v", "tau", 1.0).unwrap();
-    b.set_init_param("v", 0, 1.0).unwrap();
-    b.edge("self", "E", "v", "v").unwrap();
-    let pg = b.finish_parametric().unwrap();
-    let sys = CompiledSystem::compile_parametric(&lang, &pg).unwrap();
-    (lang, sys)
-}
-
-fn params_for(sys: &CompiledSystem, seed: u64) -> Vec<f64> {
-    let mut p = sys.nominal_params();
-    p[sys.param_index("v", "tau").unwrap()] = 0.25 + 0.0625 * (seed % 31) as f64;
-    p[sys.param_index_init("v", 0).unwrap()] = 1.0 + 0.5 * (seed % 7) as f64;
-    p
-}
 
 fn assert_moments_bits(a: &MomentStats, b: &MomentStats, cx: &str) {
     assert_eq!(a.count, b.count, "{cx}: count");
@@ -87,7 +50,7 @@ proptest! {
         let endpoints: Vec<f64> = Ensemble::serial()
             .with_lanes(1)
             .run(&sys, &solver, &seeds, 0.0, 1.0)
-            .params(|s| params_for(&sys, s))
+            .params(|s| decay_params(&sys, s))
             .map(|_, _, tr, _| Ok::<_, SolveError>(tr.last().unwrap().1[0]))
             .unwrap();
         let reducer = (
@@ -105,7 +68,7 @@ proptest! {
                 let got = Ensemble::new(workers)
                     .with_lanes(lanes)
                     .run(&sys, &solver, &seeds, 0.0, 1.0)
-                    .params(|s| params_for(&sys, s))
+                    .params(|s| decay_params(&sys, s))
                     .reduce(
                         |snap, _scratch| Ok::<_, SolveError>(snap.state[0]),
                         &reducer,
@@ -133,7 +96,7 @@ fn multi_block_ensembles_merge_deterministically() {
     let endpoints: Vec<f64> = Ensemble::serial()
         .with_lanes(1)
         .run(&sys, &solver, &seeds, 0.0, 0.5)
-        .params(|s| params_for(&sys, s))
+        .params(|s| decay_params(&sys, s))
         .map(|_, _, tr, _| Ok::<_, SolveError>(tr.last().unwrap().1[0]))
         .unwrap();
     let want = reduce_materialized(&(Moments, MinMax), &endpoints);
@@ -142,7 +105,7 @@ fn multi_block_ensembles_merge_deterministically() {
             let got = Ensemble::new(workers)
                 .with_lanes(lanes)
                 .run(&sys, &solver, &seeds, 0.0, 0.5)
-                .params(|s| params_for(&sys, s))
+                .params(|s| decay_params(&sys, s))
                 .reduce(
                     |snap, _scratch| Ok::<_, SolveError>(snap.state[0]),
                     &(Moments, MinMax),
@@ -151,6 +114,92 @@ fn multi_block_ensembles_merge_deterministically() {
             let cx = format!("workers={workers} lanes={lanes}");
             assert_moments_bits(&got.0, &want.0, &cx);
             assert_extrema_bits(&got.1, &want.1, &cx);
+        }
+    }
+}
+
+/// A custom streaming observer, generic over the element width: the
+/// per-lane running sum of `|y[0]|` over every sample the solver reports
+/// (the initial state and each accepted step). A float sum in step order
+/// is only bit-identical when every lane sees exactly the scalar sequence.
+#[derive(Default)]
+struct AbsArea(Vec<f64>);
+
+impl<E: Elem> Observer<E> for AbsArea {
+    fn start(&mut self, _t0: f64, y0: &[E], _planned_steps: Option<usize>) {
+        self.0 = (0..E::WIDTH).map(|l| y0[0].get(l).abs()).collect();
+    }
+
+    fn record(&mut self, _t: f64, y: &[E], _info: StepInfo, alive: &[bool]) -> bool {
+        for (l, (area, &live)) in self.0.iter_mut().zip(alive).enumerate() {
+            if live {
+                *area += y[0].get(l).abs();
+            }
+        }
+        true
+    }
+
+    fn finish(&mut self, _stats: SolveStats) {}
+}
+
+/// Collects the streamed items in push order (blocks concatenated in merge
+/// order), so a comparison covers every item and the order they fold in.
+struct Collect;
+
+impl Reducer<f64> for Collect {
+    type Acc = Vec<f64>;
+    type Output = Vec<f64>;
+
+    fn new_acc(&self) -> Vec<f64> {
+        Vec::new()
+    }
+
+    fn push(&self, acc: &mut Vec<f64>, item: f64) {
+        acc.push(item);
+    }
+
+    fn merge(&self, into: &mut Vec<f64>, from: Vec<f64>) {
+        into.extend(from);
+    }
+
+    fn finish(&self, acc: Vec<f64>) -> Vec<f64> {
+        acc
+    }
+}
+
+/// `reduce_observed` with a bring-your-own observer streams exactly the
+/// items of a serial `lanes = 1` run — and of the same sums taken over
+/// materialized stride-1 trajectories — for every lane width and worker
+/// count, over more than two merge blocks with scalar tails.
+#[test]
+fn custom_observer_items_are_lane_and_worker_invariant() {
+    let (_lang, sys) = decay_system();
+    let solver = Rk4 { dt: 5e-2 };
+    let seeds = seed_range(3, 2 * STREAM_BLOCK + 5);
+    let areas = |ens: Ensemble| -> Vec<f64> {
+        ens.run(&sys, &solver, &seeds, 0.0, 0.5)
+            .params(|s| decay_params(&sys, s))
+            .reduce_observed(
+                AbsArea::default,
+                |inst, _scratch| Ok::<_, SolveError>(inst.obs.0[inst.lane]),
+                &Collect,
+            )
+            .unwrap()
+    };
+    let serial = areas(Ensemble::serial().with_lanes(1));
+    let materialized: Vec<f64> = Ensemble::serial()
+        .with_lanes(1)
+        .run(&sys, &solver, &seeds, 0.0, 0.5)
+        .params(|s| decay_params(&sys, s))
+        .map(|_, _, tr, _| Ok::<_, SolveError>(tr.iter().fold(0.0, |a, (_, y)| a + y[0].abs())))
+        .unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(serial.len(), seeds.len());
+    assert_eq!(bits(&serial), bits(&materialized));
+    for lanes in [1usize, 4, 8] {
+        for workers in [1usize, 2] {
+            let got = areas(Ensemble::new(workers).with_lanes(lanes));
+            assert_eq!(bits(&got), bits(&serial), "lanes={lanes} workers={workers}");
         }
     }
 }
